@@ -18,6 +18,6 @@ from .partition import (MiniBatch, Partition, make_batch, make_batch_from_nodes,
                         partition_graph, schedule_epoch)
 from .trainer import (TrainConfig, TrainState, batch_forward_with_history,
                       rest_is_refresh_selection, rest_refresh_pass, run_training,
-                      train_step_bidir, train_step_gas, train_step_rest)
+                      train_step_gas)
 
 __version__ = "0.1.0"

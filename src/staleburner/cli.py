@@ -6,9 +6,8 @@ Recognized keys:
     dataset        dir:<path> | sbm:blocks=..,nodes_per_block=..,p_in=..,
                    p_out=..[,d_in=..][,seed=..]   (required for train)
     parts          cluster count for the partitioner (default 1)
-    mode           full | gas | rest | rest_is | rest_bidir
-    F              refresh forwards per gradient step
-    F_tilde        gradient-memory refreshes per step (rest_bidir)
+    mode           full | gas | rest | rest_is
+    F              refresh forwards per gradient step (rest, rest_is)
     c              clusters per batch
     refresh_mode   same | half | full
     sampler        round_robin | uniform
@@ -41,8 +40,8 @@ from .rng import derive_seed
 from .trainer import TrainConfig, evaluate, load_checkpoint, run_training
 
 _CONFIG_KEYS = {
-    "dataset": str, "parts": int, "mode": str, "F": int, "F_tilde": int,
-    "c": int, "refresh_mode": str, "sampler": str, "epochs": int, "seed": int,
+    "dataset": str, "parts": int, "mode": str, "F": int, "c": int,
+    "refresh_mode": str, "sampler": str, "epochs": int, "seed": int,
     "lr": float, "weight_decay": float, "beta1": float, "beta2": float,
     "adam_eps": float, "hidden": int, "layers": int, "dropout": float,
     "warmup_refresh": int, "probe_every": int, "timing": int,
@@ -113,7 +112,6 @@ def train_config_from(cfg: dict) -> TrainConfig:
     tc = TrainConfig(
         mode=cfg.get("mode", "rest"),
         refresh_per_step=cfg.get("F", 1),
-        grad_refresh_per_step=cfg.get("F_tilde", 0),
         clusters_per_batch=cfg.get("c", 1),
         refresh_mode=cfg.get("refresh_mode", "same"),
         sampler=cfg.get("sampler", "round_robin"),

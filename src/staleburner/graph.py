@@ -154,10 +154,6 @@ class NormAdj:
         np.add.at(out, self.col_idx, self.values[:, None] * dense[rows])
         return out
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-        return self.col_idx[lo:hi], self.values[lo:hi]
-
     def row_norms(self) -> np.ndarray:
         """Per-row Euclidean norm of the operator rows."""
         sq = np.zeros(self.num_rows, dtype=np.float64)

@@ -3,8 +3,7 @@
 One table row per node per stored layer. Rows are written by forward passes
 (float32 storage) and read back to stand in for out-of-batch neighbors; the
 step counters make staleness measurable: a row's persistence is the number of
-parameter updates since it was last written. The same structure doubles as
-the gradient memory of the bidirectional mode.
+parameter updates since it was last written.
 """
 
 from __future__ import annotations

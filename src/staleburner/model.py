@@ -133,8 +133,7 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
     """Exact gradients of the cached forward.
 
     Returns parameter gradients and, per layer l (1-based list index l-1),
-    the loss gradient with respect to the in-batch rows of H^(l), which is
-    what a gradient-memory table stores.
+    the loss gradient with respect to the in-batch rows of H^(l).
     """
     L = params.num_layers
     if len(cache.zs) != L:

@@ -8,14 +8,12 @@ Modes:
              additional table rows before the gradient batch reads them
   rest_is    rest whose refresh set is the gradient batch's own halo, so the
              rows about to be read are refreshed first
-  rest_bidir rest plus a gradient memory: the first F_tilde refresh batches
-             also run backward (no parameter update) to store per-row loss
-             gradients, which the gradient step uses to add halo nodes'
-             parameter-gradient contributions
 
-Reference semantics are strictly sequential: refresh batches in listed order,
-then the gradient batch. All modes collapse to identical full-batch steps
-when the partition has a single cluster.
+Every mode runs the same step: a refresh pass over the step's refresh batches
+(none for full and gas), then one gradient step that pushes its in-batch rows
+unless the mode is full. Reference semantics are strictly sequential: refresh
+batches in listed order, then the gradient batch. All modes collapse to
+identical full-batch steps when the partition has a single cluster.
 """
 
 from __future__ import annotations
@@ -30,22 +28,21 @@ import numpy as np
 from .graph import Dataset, NormAdj, normalize_adjacency
 from .history import HistoryTable, persistence_stats
 from .metrics import MetricsRecord, approximation_error
-from .model import (Adam, GcnParams, Grads, LayerCache, accuracy, backward,
+from .model import (Adam, GcnParams, LayerCache, accuracy, backward,
                     full_forward, init_params, layer_apply, loss_and_grad)
-from .partition import (MiniBatch, Partition, make_batch,
+from .partition import (MiniBatch, Partition, ScheduleStep, make_batch,
                         make_batch_from_nodes, schedule_epoch)
 from .rng import Rng, derive_seed
 
 log = logging.getLogger(__name__)
 
-MODES = ("full", "gas", "rest", "rest_is", "rest_bidir")
+MODES = ("full", "gas", "rest", "rest_is")
 
 
 @dataclass
 class TrainConfig:
     mode: str = "rest"
     refresh_per_step: int = 1        # forward-only refresh batches per gradient step
-    grad_refresh_per_step: int = 0   # of those, how many also refresh the gradient memory
     clusters_per_batch: int = 1
     refresh_mode: str = "same"       # same | half | full (refresh batch width)
     sampler: str = "round_robin"
@@ -69,20 +66,21 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.refresh_per_step < 0:
             raise ValueError("refresh_per_step must be >= 0")
-        if not (0 <= self.grad_refresh_per_step <= self.refresh_per_step):
-            raise ValueError("grad_refresh_per_step must be in [0, refresh_per_step]")
         if self.mode == "rest_is" and self.refresh_per_step < 1:
             raise ValueError("rest_is needs refresh_per_step >= 1")
         if self.refresh_mode not in ("same", "half", "full"):
             raise ValueError(f"unknown refresh_mode {self.refresh_mode!r}")
-        if self.refresh_mode != "same" and self.mode not in ("rest", "rest_bidir"):
-            raise ValueError("refresh_mode half/full applies to rest/rest_bidir only")
+        if self.refresh_mode != "same" and self.mode != "rest":
+            raise ValueError("refresh_mode half/full applies to rest only")
+        if self.sampler not in ("round_robin", "uniform"):
+            raise ValueError(f"unknown sampler {self.sampler!r} "
+                             "(importance refresh is mode=rest_is)")
+        if self.clusters_per_batch < 1:
+            raise ValueError("clusters_per_batch must be >= 1")
+        if self.probe_every < 0:
+            raise ValueError("probe_every must be >= 0")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must be in [0, 1)")
-        if self.dropout > 0.0 and self.mode == "rest_bidir":
-            raise ValueError("the gradient-memory correction does not support dropout")
-        if self.parallel_refresh and self.mode == "rest_bidir":
-            raise ValueError("rest_bidir refresh is reference-mode only")
         if self.epochs < 0 or self.num_layers < 1 or self.hidden < 1:
             raise ValueError("epochs, num_layers, hidden must be positive")
 
@@ -92,7 +90,6 @@ class TrainState:
     params: GcnParams
     adam: Adam
     history: HistoryTable
-    grad_history: HistoryTable | None
     model_step: int = 0
     records: list[MetricsRecord] = field(default_factory=list)
 
@@ -101,7 +98,6 @@ def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
                                params: GcnParams, history: HistoryTable,
                                push: bool, step: int,
                                drop: tuple[float, np.random.Generator] | None = None,
-                               keep_inputs: bool = False,
                                pull_from: HistoryTable | None = None
                                ) -> tuple[list[np.ndarray], LayerCache, int]:
     """Forward over a batch, memory rows standing in for halo neighbors.
@@ -119,8 +115,6 @@ def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
     nb = len(batch.in_batch)
     reads = history if pull_from is None else pull_from
     cache = LayerCache(adj=batch.local_adj, num_in_batch=nb)
-    if keep_inputs:
-        cache.inputs = []
     cold_total = 0
     inputs = features[batch.global_map].astype(np.float64)
     h = None
@@ -129,8 +123,6 @@ def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
             rate, gen = drop
             keep = gen.random(inputs.shape) >= rate
             inputs = inputs * keep / (1.0 - rate)
-        if keep_inputs:
-            cache.inputs.append(inputs)
         agg, z, h = layer_apply(batch.local_adj, inputs, params.weights[l],
                                 params.biases[l], last=(l == L - 1))
         cache.aggs.append(agg)
@@ -152,8 +144,7 @@ def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
 
 def train_step_gas(batch: MiniBatch, state: TrainState, ds: Dataset,
                    push: bool = True,
-                   drop: tuple[float, np.random.Generator] | None = None,
-                   extra_grads: Grads | None = None) -> float:
+                   drop: tuple[float, np.random.Generator] | None = None) -> float:
     """One gradient step on a batch: forward with memory fill, masked loss,
     backward treating pulled rows as constants, optimizer update."""
     mask = ds.train_mask[batch.in_batch]
@@ -166,11 +157,6 @@ def train_step_gas(batch: MiniBatch, state: TrainState, ds: Dataset,
         push=push, step=state.model_step, drop=drop)
     loss, dlogits = loss_and_grad(hs[-1], ds.labels[batch.in_batch], mask)
     grads, _ = backward(cache, dlogits, state.params)
-    if extra_grads is not None:
-        for gw, xw in zip(grads.weights, extra_grads.weights):
-            gw += xw
-        for gb, xb in zip(grads.biases, extra_grads.biases):
-            gb += xb
     state.adam.step(state.params, grads)
     state.model_step += 1
     return loss
@@ -199,14 +185,6 @@ def rest_refresh_pass(batches: list[MiniBatch], state: TrainState, ds: Dataset,
                                    pull_from=pull_from)
 
 
-def train_step_rest(refresh: list[MiniBatch], grad_batch: MiniBatch,
-                    state: TrainState, ds: Dataset,
-                    drop: tuple[float, np.random.Generator] | None = None,
-                    snapshot_reads: bool = False) -> float:
-    rest_refresh_pass(refresh, state, ds, drop=drop, snapshot_reads=snapshot_reads)
-    return train_step_gas(grad_batch, state, ds, drop=drop)
-
-
 def rest_is_refresh_selection(grad_batch: MiniBatch, g_norm: NormAdj,
                               refresh_per_step: int, rng: Rng) -> list[MiniBatch]:
     """Refresh batches covering exactly the gradient batch's halo.
@@ -231,107 +209,6 @@ def rest_is_refresh_selection(grad_batch: MiniBatch, g_norm: NormAdj,
     return [make_batch_from_nodes(g_norm, chunk) for chunk in chunks if len(chunk)]
 
 
-def _halo_rows_local(g_norm: NormAdj, batch: MiniBatch) -> NormAdj:
-    """Adjacency rows of the halo nodes restricted to the batch's local
-    columns; neighbors outside the batch are dropped (the locality
-    approximation of the gradient-memory correction)."""
-    local_of = np.full(g_norm.num_cols, -1, dtype=np.int64)
-    local_of[batch.global_map] = np.arange(len(batch.global_map))
-    cols_list, vals_list, lengths = [], [], []
-    for u in batch.halo:
-        cols, vals = g_norm.row(int(u))
-        keep = local_of[cols] >= 0
-        cols_list.append(local_of[cols[keep]])
-        vals_list.append(vals[keep])
-        lengths.append(int(keep.sum()))
-    row_ptr = np.zeros(len(batch.halo) + 1, dtype=np.int64)
-    np.cumsum(np.array(lengths, dtype=np.int64), out=row_ptr[1:])
-    return NormAdj(num_rows=len(batch.halo), num_cols=len(batch.global_map),
-                   row_ptr=row_ptr,
-                   col_idx=np.concatenate(cols_list) if cols_list else np.empty(0, np.int64),
-                   values=np.concatenate(vals_list) if vals_list else np.empty(0, np.float64))
-
-
-def _grad_memory_refresh(batches: list[MiniBatch], state: TrainState,
-                         ds: Dataset) -> None:
-    """Backward passes that only rewrite the gradient memory.
-
-    Each batch runs the usual forward (also refreshing embeddings), then
-    backward from its masked loss; the per-layer loss gradients of its
-    in-batch rows are stored. Parameters are not updated. Batches without
-    training nodes refresh embeddings only.
-    """
-    for batch in batches:
-        hs, cache, _ = batch_forward_with_history(
-            batch, ds.features, state.params, state.history,
-            push=True, step=state.model_step)
-        mask = ds.train_mask[batch.in_batch]
-        if not mask.any():
-            continue
-        _, dlogits = loss_and_grad(hs[-1], ds.labels[batch.in_batch], mask)
-        _, d_hidden = backward(cache, dlogits, state.params)
-        for l in range(state.params.num_layers):
-            state.grad_history.push(l + 1, batch.in_batch, d_hidden[l],
-                                    state.model_step)
-
-
-def _halo_grad_correction(grad_batch: MiniBatch, state: TrainState, ds: Dataset,
-                          g_norm: NormAdj) -> Grads | None:
-    """Parameter-gradient contributions of halo nodes, reconstructed from the
-    gradient memory.
-
-    For each halo node u with a stored loss-gradient row at layer l, its
-    layer-l pre-activation is recomputed from the rows available inside the
-    batch (own adjacency row truncated to local columns), and the chain rule
-    adds agg_u^T (g_u * act') to the layer's parameter gradients. Rows never
-    stored contribute nothing; with no halo the correction vanishes (None, so
-    the gradient step stays bit-identical to the plain one).
-    """
-    params = state.params
-    gh = state.grad_history
-    if len(grad_batch.halo) == 0:
-        return None
-    extra = Grads(weights=[np.zeros_like(w) for w in params.weights],
-                  biases=[np.zeros_like(b) for b in params.biases])
-    halo_adj = _halo_rows_local(g_norm, grad_batch)
-    _, cache, _ = batch_forward_with_history(
-        grad_batch, ds.features, params, state.history,
-        push=False, step=state.model_step, keep_inputs=True)
-    L = params.num_layers
-    touched = False
-    for l in range(L):
-        warm = gh.last_update[grad_batch.halo, l] != -1
-        if not warm.any():
-            continue
-        touched = True
-        stored, _ = gh.pull(l + 1, grad_batch.halo)
-        agg = halo_adj.matmul(cache.inputs[l])
-        z = agg @ params.weights[l] + params.biases[l]
-        g = stored.astype(np.float64)
-        if l < L - 1:
-            g = g * (z > 0.0)
-        g[~warm] = 0.0
-        extra.weights[l] += agg.T @ g
-        extra.biases[l] += g.sum(axis=0)
-    return extra if touched else None
-
-
-def train_step_bidir(refresh: list[MiniBatch], grad_batch: MiniBatch,
-                     state: TrainState, ds: Dataset, g_norm: NormAdj,
-                     grad_refresh_per_step: int) -> float:
-    """Refresh pass where the first grad_refresh_per_step batches also update
-    the gradient memory, then a gradient step carrying the halo correction."""
-    if state.grad_history is None:
-        raise ValueError("bidirectional mode needs an allocated gradient memory")
-    k = grad_refresh_per_step
-    if k > len(refresh):
-        raise ValueError("grad_refresh_per_step exceeds refresh batch count")
-    _grad_memory_refresh(refresh[:k], state, ds)
-    rest_refresh_pass(refresh[k:], state, ds)
-    extra = _halo_grad_correction(grad_batch, state, ds, g_norm)
-    return train_step_gas(grad_batch, state, ds, extra_grads=extra)
-
-
 def evaluate(g_norm: NormAdj, ds: Dataset, params: GcnParams
              ) -> tuple[float, float, float]:
     """Whole-graph accuracies at current parameters; no staleness in the
@@ -347,11 +224,11 @@ def _probe_apx_errors(g_norm: NormAdj, ds: Dataset, state: TrainState,
                       ) -> tuple[float, ...]:
     """Per-layer mean distance between memory/run embeddings and a fresh
     whole-graph forward: stored layers come straight from the table, the final
-    layer from re-running every batch against the current table."""
-    oracle_hs, _ = full_forward(g_norm, ds.features, state.params)
-    L = state.params.num_layers
+    layer from re-running every batch against the current table. Full mode
+    reads no table, so its errors are zero without a forward."""
     if mode == "full":
-        return tuple(0.0 for _ in range(L))
+        return tuple(0.0 for _ in range(state.params.num_layers))
+    oracle_hs, _ = full_forward(g_norm, ds.features, state.params)
     table_errs = approximation_error(state.history, oracle_hs)
     run_logits = np.zeros_like(oracle_hs[-1])
     for batch in chunk_batches:
@@ -408,7 +285,6 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
         adam=Adam(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                   eps=cfg.adam_eps, weight_decay=cfg.weight_decay),
         history=HistoryTable(n, dims[1:-1]),
-        grad_history=HistoryTable(n, dims[1:]) if cfg.mode == "rest_bidir" else None,
     )
     drop = None
     if cfg.dropout > 0.0:
@@ -417,6 +293,10 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     is_rng = Rng(derive_seed(cfg.seed, "importance"))
     sched_seed = derive_seed(cfg.seed, "schedule")
     sampler = "importance" if cfg.mode == "rest_is" else cfg.sampler
+    memory = cfg.mode != "full"
+    # gas is rest without refresh batches, whatever F its config carries
+    refresh_per_step = 0 if cfg.mode == "gas" else cfg.refresh_per_step
+    whole_ids = tuple(range(part.num_parts))
 
     batch_cache: dict[tuple[int, ...], MiniBatch] = {}
 
@@ -426,74 +306,53 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
             batch_cache[key] = make_batch(g_norm, part, list(key))
         return batch_cache[key]
 
-    whole = make_batch(g_norm, part, list(range(part.num_parts)))
-    if cfg.warmup_refresh and cfg.mode != "full":
+    if cfg.warmup_refresh and memory:
         # gradient-free whole-graph refresh so no pull ever reads the zero init
-        batch_forward_with_history(whole, ds.features, state.params, state.history,
-                                   push=True, step=0)
-
-    def record_step(epoch: int, loss: float, pstats, apx, wall_ms: float) -> None:
-        acc_tr, acc_val, acc_te = evaluate(g_norm, ds, state.params)
-        state.records.append(MetricsRecord(
-            step=state.model_step, epoch=epoch, loss=loss,
-            acc_train=acc_tr, acc_val=acc_val, acc_test=acc_te,
-            persist_mean=tuple(p.mean for p in pstats),
-            persist_max=tuple(p.max for p in pstats),
-            cold_rows=sum(p.cold for p in pstats),
-            apx_err=apx, wall_ms=wall_ms))
-        if on_step is not None:
-            on_step(state)
-
-    def probe_due() -> bool:
-        return cfg.probe_every > 0 and state.model_step % cfg.probe_every == 0
+        batch_forward_with_history(cluster_batch(whole_ids), ds.features,
+                                   state.params, state.history, push=True, step=0)
 
     for epoch in range(cfg.epochs):
-        if cfg.mode == "full":
+        if memory:
+            steps = schedule_epoch(part, cfg.clusters_per_batch, refresh_per_step,
+                                   sampler, sched_seed, epoch=epoch,
+                                   refresh_mode=cfg.refresh_mode)
+        else:
+            steps = [ScheduleStep(refresh=(), grad=whole_ids)]
+        chunk_ids = [st.grad for st in steps]
+        for st in steps:
             t0 = time.perf_counter()
             pstats = persistence_stats(state.history, state.model_step)
-            apx = (_probe_apx_errors(g_norm, ds, state, [], "full")
-                   if probe_due() else tuple([float("nan")] * cfg.num_layers))
-            loss = train_step_gas(whole, state, ds, push=False, drop=drop)
+            if cfg.probe_every > 0 and state.model_step % cfg.probe_every == 0:
+                apx = _probe_apx_errors(g_norm, ds, state,
+                                        [cluster_batch(c) for c in chunk_ids], cfg.mode)
+            else:
+                apx = tuple([float("nan")] * cfg.num_layers)
+            grad_batch = cluster_batch(st.grad)
+            if cfg.mode == "rest_is":
+                refresh = rest_is_refresh_selection(grad_batch, g_norm,
+                                                    cfg.refresh_per_step, is_rng)
+            else:
+                refresh = [cluster_batch(c) for c in st.refresh]
+            try:
+                rest_refresh_pass(refresh, state, ds, drop=drop,
+                                  snapshot_reads=cfg.parallel_refresh)
+                loss = train_step_gas(grad_batch, state, ds, push=memory, drop=drop)
+            except FloatingPointError:
+                if dump_prefix is not None:
+                    save_checkpoint(state.params, dump_prefix + "_diverged.ckpt")
+                    state.history.dump(dump_prefix + "_history")
+                raise
             wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
-            record_step(epoch, loss, pstats, apx, wall)
-        else:
-            steps = schedule_epoch(part, cfg.clusters_per_batch,
-                                   cfg.refresh_per_step, sampler, sched_seed,
-                                   epoch=epoch, refresh_mode=cfg.refresh_mode)
-            chunk_ids = [st.grad for st in steps]
-            for st in steps:
-                t0 = time.perf_counter()
-                pstats = persistence_stats(state.history, state.model_step)
-                apx = (_probe_apx_errors(g_norm, ds, state,
-                                         [cluster_batch(c) for c in chunk_ids],
-                                         cfg.mode)
-                       if probe_due() else tuple([float("nan")] * cfg.num_layers))
-                grad_batch = cluster_batch(st.grad)
-                try:
-                    if cfg.mode == "gas":
-                        loss = train_step_gas(grad_batch, state, ds, drop=drop)
-                    elif cfg.mode == "rest":
-                        refresh = [cluster_batch(c) for c in st.refresh]
-                        loss = train_step_rest(refresh, grad_batch, state, ds,
-                                               drop=drop,
-                                               snapshot_reads=cfg.parallel_refresh)
-                    elif cfg.mode == "rest_is":
-                        refresh = rest_is_refresh_selection(
-                            grad_batch, g_norm, cfg.refresh_per_step, is_rng)
-                        loss = train_step_rest(refresh, grad_batch, state, ds,
-                                               drop=drop,
-                                               snapshot_reads=cfg.parallel_refresh)
-                    else:  # rest_bidir
-                        refresh = [cluster_batch(c) for c in st.refresh]
-                        loss = train_step_bidir(refresh, grad_batch, state, ds,
-                                                g_norm, cfg.grad_refresh_per_step)
-                except FloatingPointError:
-                    if dump_prefix is not None:
-                        save_checkpoint(state.params, dump_prefix + "_diverged.ckpt")
-                        state.history.dump(dump_prefix + "_history")
-                    raise
-                wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
-                record_step(epoch, loss, pstats, apx, wall)
+            acc_tr, acc_val, acc_te = evaluate(g_norm, ds, state.params)
+            state.records.append(MetricsRecord(
+                step=state.model_step, epoch=epoch, loss=loss,
+                acc_train=acc_tr, acc_val=acc_val, acc_test=acc_te,
+                persist_mean=tuple(p.mean for p in pstats),
+                persist_max=tuple(p.max for p in pstats),
+                cold_rows=sum(p.cold for p in pstats),
+                apx_err=apx, wall_ms=wall))
+            if on_step is not None:
+                on_step(state)
         if checkpoint_path is not None:
             save_checkpoint(state.params, checkpoint_path)
     return state.records, state.params

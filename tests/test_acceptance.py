@@ -78,21 +78,20 @@ def test_criterion_1_single_cluster_modes_bitwise_identical():
     logging.disable(logging.WARNING)
     try:
         trajectories = {}
-        for mode in ("full", "gas", "rest", "rest_is", "rest_bidir"):
+        for mode in ("full", "gas", "rest", "rest_is"):
             snaps: list[bytes] = []
             cfg = TrainConfig(mode=mode, epochs=20, hidden=16, seed=7, lr=0.01,
-                              refresh_per_step=1,
-                              grad_refresh_per_step=1 if mode == "rest_bidir" else 0)
+                              refresh_per_step=1)
             run_training(cfg, ds, part,
                          on_step=lambda st: snaps.append(st.params.flat().tobytes()))
             trajectories[mode] = snaps
     finally:
         logging.disable(logging.NOTSET)
     same = all(trajectories[m] == trajectories["full"]
-               for m in ("gas", "rest", "rest_is", "rest_bidir"))
+               for m in ("gas", "rest", "rest_is"))
     steps_ok = all(len(t) == 20 for t in trajectories.values())
     report(1, same and steps_ok,
-           "single-cluster full/gas/rest/rest_is/rest_bidir parameter "
+           "single-cluster full/gas/rest/rest_is parameter "
            "trajectories bitwise-identical over 20 steps", t0)
 
 

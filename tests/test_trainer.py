@@ -4,17 +4,16 @@ import logging
 import numpy as np
 import pytest
 
+from staleburner import trainer
 from staleburner.graph import normalize_adjacency, sbm_generate
 from staleburner.history import HistoryTable, persistence_stats
 from staleburner.model import Adam, backward, full_forward, init_params, loss_and_grad
 from staleburner.partition import (Partition, make_batch, make_batch_from_nodes,
                                    partition_graph)
 from staleburner.trainer import (TrainConfig, TrainState,
-                                 _halo_grad_correction, _grad_memory_refresh,
                                  batch_forward_with_history,
                                  rest_is_refresh_selection, rest_refresh_pass,
-                                 run_training, train_step_bidir, train_step_gas,
-                                 train_step_rest)
+                                 run_training, train_step_gas)
 from staleburner.rng import Rng, derive_seed
 
 from conftest import dense_forward, dense_norm_adj, max_rel_err, path_graph
@@ -24,12 +23,10 @@ def small_dataset(seed=0):
     return sbm_generate(4, 10, 0.4, 0.05, seed=seed)
 
 
-def fresh_state(ds, dims, seed=0, with_grad_history=False):
-    n = ds.graph.num_nodes
+def fresh_state(ds, dims, seed=0):
     return TrainState(params=init_params(dims, seed),
                       adam=Adam(lr=0.01),
-                      history=HistoryTable(n, dims[1:-1]),
-                      grad_history=HistoryTable(n, dims[1:]) if with_grad_history else None)
+                      history=HistoryTable(ds.graph.num_nodes, dims[1:-1]))
 
 
 def clone_state(state):
@@ -232,20 +229,6 @@ def test_snapshot_refresh_reads_pre_pass_table():
     assert np.array_equal(par.history.layers[1], par2.history.layers[1])
 
 
-def test_rest_with_no_refresh_equals_gas():
-    ds = small_dataset(seed=10)
-    g_norm = normalize_adjacency(ds.graph)
-    part = partition_graph(ds.graph, 4, seed=6)
-    dims = [ds.num_features, 6, ds.num_classes]
-    s1 = fresh_state(ds, dims)
-    s2 = clone_state(s1)
-    batch = make_batch(g_norm, part, [1])
-    loss_a = train_step_gas(batch, s1, ds)
-    loss_b = train_step_rest([], batch, s2, ds)
-    assert loss_a == loss_b
-    assert np.array_equal(s1.params.flat(), s2.params.flat())
-
-
 # ------------------------------------------------------- importance batches ---
 
 def test_importance_selection_empty_without_halo(caplog):
@@ -299,73 +282,6 @@ def test_importance_refresh_makes_read_rows_fresh():
     assert cold == 0
     ref = dense_forward(dense_norm_adj(ds.graph), ds.features, state.params)
     assert np.allclose(hs[-1][0], ref[-1][1], atol=1e-6)
-
-
-# ------------------------------------------------------------- bidirectional ---
-
-def test_bidir_without_grad_refresh_equals_rest():
-    ds = small_dataset(seed=13)
-    g_norm = normalize_adjacency(ds.graph)
-    part = partition_graph(ds.graph, 4, seed=8)
-    dims = [ds.num_features, 6, ds.num_classes]
-    s1 = fresh_state(ds, dims, with_grad_history=True)
-    s2 = clone_state(s1)
-    refresh = [make_batch(g_norm, part, [2])]
-    batch = make_batch(g_norm, part, [1])
-    loss_a = train_step_bidir(refresh, batch, s1, ds, g_norm, grad_refresh_per_step=0)
-    loss_b = train_step_rest(refresh, batch, s2, ds)
-    assert loss_a == loss_b
-    assert np.array_equal(s1.params.flat(), s2.params.flat())
-
-
-def test_bidir_rejects_oversized_grad_refresh():
-    ds = small_dataset(seed=14)
-    g_norm = normalize_adjacency(ds.graph)
-    part = partition_graph(ds.graph, 2, seed=1)
-    dims = [ds.num_features, 4, ds.num_classes]
-    state = fresh_state(ds, dims, with_grad_history=True)
-    batch = make_batch(g_norm, part, [0])
-    with pytest.raises(ValueError):
-        train_step_bidir([], batch, state, ds, g_norm, grad_refresh_per_step=1)
-
-
-def test_bidir_corrected_gradient_linear_hand_trace():
-    # 2-node path, one linear layer. With a fresh gradient memory, the
-    # corrected gradient of the {0}-batch step equals the whole-graph
-    # gradient of the summed per-node losses: each side contributes
-    # (row_v(adj) X)^T (softmax(z_v) - onehot_v).
-    ds = path_dataset(2, d_in=3, classes=2, seed=3)
-    g_norm = normalize_adjacency(ds.graph)
-    dims = [3, 2]
-    state = fresh_state(ds, dims, seed=4, with_grad_history=True)
-
-    refresh = make_batch_from_nodes(g_norm, np.array([1]))
-    _grad_memory_refresh([refresh], state, ds)
-
-    grad_batch = make_batch_from_nodes(g_norm, np.array([0]))
-    hs, cache, _ = batch_forward_with_history(grad_batch, ds.features, state.params,
-                                              state.history, push=False, step=0)
-    mask0 = np.array([True])
-    _, dlog0 = loss_and_grad(hs[-1], ds.labels[[0]], mask0)
-    base, _ = backward(cache, dlog0, state.params)
-    extra = _halo_grad_correction(grad_batch, state, ds, g_norm)
-    corrected = base.weights[0] + extra.weights[0]
-
-    # whole-graph oracle, one singleton-masked loss per node, summed
-    full_hs, _ = full_forward(g_norm, ds.features, state.params)
-    adj = dense_norm_adj(ds.graph)
-    want = np.zeros_like(corrected)
-    for v in range(2):
-        m = np.zeros(2, dtype=bool)
-        m[v] = True
-        _, dl = loss_and_grad(full_hs[-1], ds.labels, m)
-        want += (adj @ ds.features.astype(np.float64)).T @ dl
-    assert np.allclose(corrected, want, atol=1e-6)
-    assert np.allclose(base.biases[0] + extra.biases[0],
-                       np.zeros(2) + sum(
-                           loss_and_grad(full_hs[-1], ds.labels,
-                                         np.eye(2, dtype=bool)[v])[1].sum(0)
-                           for v in range(2)), atol=1e-6)
 
 
 # --------------------------------------------------- gradient semantics ---
@@ -428,6 +344,32 @@ def test_run_training_zero_epochs():
     assert np.array_equal(params.flat(), init.flat())
 
 
+def test_rest_with_no_refresh_equals_gas():
+    # ablate-f's F=0 arm stands in for gas
+    ds = small_dataset(seed=10)
+    part = partition_graph(ds.graph, 4, seed=6)
+    for sampler in ("round_robin", "uniform"):
+        common = dict(epochs=2, hidden=6, seed=3, sampler=sampler, probe_every=1)
+        rec_gas, par_gas = run_training(
+            TrainConfig(mode="gas", refresh_per_step=2, **common), ds, part)
+        rec_rest, par_rest = run_training(
+            TrainConfig(mode="rest", refresh_per_step=0, **common), ds, part)
+        assert rec_gas == rec_rest
+        assert np.array_equal(par_gas.flat(), par_rest.flat())
+
+
+def test_full_mode_probe_skips_oracle_forward(monkeypatch):
+    ds = small_dataset(seed=19)
+    part = partition_graph(ds.graph, 4, seed=2)
+    calls = []
+    real = trainer.full_forward
+    monkeypatch.setattr(trainer, "full_forward",
+                        lambda *a: calls.append(1) or real(*a))
+    run_training(TrainConfig(mode="full", epochs=3, hidden=4, seed=1,
+                             probe_every=1), ds, part)
+    assert len(calls) == 3  # one evaluate per step, none for the probe
+
+
 def test_full_mode_has_no_staleness():
     ds = small_dataset(seed=19)
     part = partition_graph(ds.graph, 4, seed=2)
@@ -446,17 +388,16 @@ def test_degenerate_single_cluster_modes_agree_bitwise():
     logging.disable(logging.WARNING)
     try:
         trajs = {}
-        for mode in ("full", "gas", "rest", "rest_is", "rest_bidir"):
+        for mode in ("full", "gas", "rest", "rest_is"):
             snaps = []
             cfg = TrainConfig(mode=mode, epochs=5, hidden=6, seed=3,
-                              refresh_per_step=1,
-                              grad_refresh_per_step=1 if mode == "rest_bidir" else 0)
+                              refresh_per_step=1)
             run_training(cfg, ds, part,
                          on_step=lambda st: snaps.append(st.params.flat().tobytes()))
             trajs[mode] = snaps
     finally:
         logging.disable(logging.NOTSET)
-    for mode in ("gas", "rest", "rest_is", "rest_bidir"):
+    for mode in ("gas", "rest", "rest_is"):
         assert trajs[mode] == trajs["full"], mode
 
 
@@ -518,14 +459,15 @@ def test_run_training_refresh_mode_full_resets_persistence():
 def test_divergence_aborts_with_checkpoint_dump(tmp_path):
     ds = small_dataset(seed=26)
     part = partition_graph(ds.graph, 2, seed=1)
-    cfg = TrainConfig(mode="gas", epochs=2, hidden=4, seed=1, lr=1.0)
-    prefix = str(tmp_path / "crash")
-    with np.errstate(over="ignore", invalid="ignore"):
-        ds.features[:] = 1e200  # first forward goes non-finite
-        with pytest.raises(FloatingPointError):
-            run_training(cfg, ds, part, dump_prefix=prefix)
-    assert (tmp_path / "crash_diverged.ckpt").exists()
-    assert (tmp_path / "crash_history_l1.bin").exists()
+    for mode in ("gas", "full"):
+        cfg = TrainConfig(mode=mode, epochs=2, hidden=4, seed=1, lr=1.0)
+        prefix = str(tmp_path / mode)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ds.features[:] = 1e200  # first forward goes non-finite
+            with pytest.raises(FloatingPointError):
+                run_training(cfg, ds, part, dump_prefix=prefix)
+        assert (tmp_path / f"{mode}_diverged.ckpt").exists(), mode
+        assert (tmp_path / f"{mode}_history_l1.bin").exists(), mode
 
 
 def test_dropout_is_seeded_and_changes_training():
@@ -546,12 +488,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(mode="sgd").validate()
     with pytest.raises(ValueError):
-        TrainConfig(grad_refresh_per_step=2, refresh_per_step=1).validate()
-    with pytest.raises(ValueError):
         TrainConfig(mode="rest_is", refresh_per_step=0).validate()
     with pytest.raises(ValueError):
         TrainConfig(mode="gas", refresh_mode="full").validate()
-    with pytest.raises(ValueError):
-        TrainConfig(mode="rest_bidir", dropout=0.5).validate()
-    TrainConfig(mode="rest_bidir", refresh_per_step=2,
-                grad_refresh_per_step=1).validate()
+    for bad in (dict(mode="rest", sampler="importance", refresh_per_step=3),
+                dict(mode="full", sampler="anything"),
+                dict(clusters_per_batch=0),
+                dict(probe_every=-1)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad).validate()
+    TrainConfig(mode="rest", sampler="uniform", refresh_mode="half",
+                clusters_per_batch=2, probe_every=0).validate()
