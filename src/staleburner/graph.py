@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .rng import Rng, derive_seed
 
@@ -129,6 +131,8 @@ class NormAdj:
     Square when built by normalize_adjacency; batch construction reuses the
     type for rectangular row restrictions (rows = batch targets, columns =
     batch plus halo), values copied bit-exactly from the square operator.
+    Every product runs on one scipy CSR array built on first use from the
+    three arrays below, which must not be mutated after that.
     """
 
     num_rows: int
@@ -137,60 +141,46 @@ class NormAdj:
     col_idx: np.ndarray  # int64
     values: np.ndarray   # float64
 
-    def matmul(self, dense: np.ndarray) -> np.ndarray:
-        """Row-wise sparse product, float64 accumulation.
+    @cached_property
+    def csr(self) -> sparse.csr_array:
+        """The operator as a scipy CSR array, sharing `values`."""
+        return sparse.csr_array((self.values, self.col_idx, self.row_ptr),
+                                shape=(self.num_rows, self.num_cols))
 
-        Every row must be nonempty (guaranteed by the self-loop), which keeps
-        np.add.reduceat segment semantics exact.
-        """
-        contrib = self.values[:, None] * dense[self.col_idx].astype(np.float64, copy=False)
-        return np.add.reduceat(contrib, self.row_ptr[:-1], axis=0)
+    def matmul(self, dense: np.ndarray) -> np.ndarray:
+        """Row-wise sparse product in float64; each row sums its terms
+        sequentially in CSR order."""
+        return self.csr @ dense
 
     def t_matmul(self, dense: np.ndarray) -> np.ndarray:
-        """Transpose product: (num_cols, d) result from (num_rows, d) input."""
-        rows = np.repeat(np.arange(self.num_rows, dtype=np.int64),
-                         np.diff(self.row_ptr))
-        out = np.zeros((self.num_cols, dense.shape[1]), dtype=np.float64)
-        np.add.at(out, self.col_idx, self.values[:, None] * dense[rows])
-        return out
+        """Transpose product: (num_cols, d) result from (num_rows, d) input,
+        scattered in CSR order."""
+        return self.csr.T @ dense
 
     def row_norms(self) -> np.ndarray:
         """Per-row Euclidean norm of the operator rows."""
-        sq = np.zeros(self.num_rows, dtype=np.float64)
-        rows = np.repeat(np.arange(self.num_rows, dtype=np.int64),
-                         np.diff(self.row_ptr))
-        np.add.at(sq, rows, self.values * self.values)
-        return np.sqrt(sq)
+        return np.sqrt(self.csr.power(2) @ np.ones(self.num_cols))
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.num_rows, self.num_cols), dtype=np.float64)
-        rows = np.repeat(np.arange(self.num_rows, dtype=np.int64),
-                         np.diff(self.row_ptr))
-        out[rows, self.col_idx] = self.values
-        return out
+        return self.csr.toarray()
 
 
 def normalize_adjacency(g: CsrGraph) -> NormAdj:
     """Self-loops plus symmetric normalization: entry (u, v) is
     1/sqrt((deg_u + 1) * (deg_v + 1)). Isolated nodes get the single value 1."""
     n = g.num_nodes
-    deg_tilde = g.degrees().astype(np.float64) + 1.0
-    inv_sqrt = 1.0 / np.sqrt(deg_tilde)
-    counts = np.diff(g.row_ptr) + 1
+    degrees = g.degrees()
+    inv_sqrt = 1.0 / np.sqrt(degrees.astype(np.float64) + 1.0)
+    nodes = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([np.repeat(nodes, degrees), nodes])
+    cols = np.concatenate([g.col_idx, nodes])
+    # one sort by (row, col) slots each self-loop into its sorted row
+    order = np.argsort(rows * n + cols, kind="stable")
+    rows, cols = rows[order], cols[order]
     row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    nnz = int(row_ptr[-1])
-    col_idx = np.empty(nnz, dtype=np.int64)
-    values = np.empty(nnz, dtype=np.float64)
-    for v in range(n):
-        nbrs = g.neighbors(v)
-        pos = np.searchsorted(nbrs, v)  # keep columns sorted after inserting v
-        out = np.insert(nbrs, pos, v)
-        lo = row_ptr[v]
-        col_idx[lo:lo + len(out)] = out
-        values[lo:lo + len(out)] = inv_sqrt[v] * inv_sqrt[out]
+    np.cumsum(degrees + 1, out=row_ptr[1:])
     return NormAdj(num_rows=n, num_cols=n, row_ptr=row_ptr,
-                   col_idx=col_idx, values=values)
+                   col_idx=cols, values=inv_sqrt[rows] * inv_sqrt[cols])
 
 
 def spectral_norm_upper(m, iters: int = 200, tol: float = 1e-3) -> tuple[float, bool]:

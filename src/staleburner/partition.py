@@ -136,20 +136,20 @@ def make_batch_from_nodes(g_norm: NormAdj, node_ids: np.ndarray) -> MiniBatch:
     if len(in_batch) == 0:
         raise ValueError("empty batch")
     lo = g_norm.row_ptr[in_batch]
-    hi = g_norm.row_ptr[in_batch + 1]
-    nbr_chunks = [g_norm.col_idx[a:b] for a, b in zip(lo, hi)]
-    neighbors = np.unique(np.concatenate(nbr_chunks))
-    halo = np.setdiff1d(neighbors, in_batch, assume_unique=True)
+    lengths = g_norm.row_ptr[in_batch + 1] - lo
+    row_ptr = np.zeros(len(in_batch) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=row_ptr[1:])
+    # position in g_norm of every local entry, rows kept in in_batch order
+    gather = np.repeat(lo - row_ptr[:-1], lengths) + np.arange(row_ptr[-1])
+    cols = g_norm.col_idx[gather]
+    halo = np.setdiff1d(np.unique(cols), in_batch, assume_unique=True)
 
     local_of = np.full(g_norm.num_cols, -1, dtype=np.int64)
     local_of[in_batch] = np.arange(len(in_batch))
     local_of[halo] = len(in_batch) + np.arange(len(halo))
 
-    lengths = hi - lo
-    row_ptr = np.zeros(len(in_batch) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=row_ptr[1:])
-    col_idx = local_of[np.concatenate(nbr_chunks)]
-    values = np.concatenate([g_norm.values[a:b] for a, b in zip(lo, hi)])
+    col_idx = local_of[cols]
+    values = g_norm.values[gather]
     local_adj = NormAdj(num_rows=len(in_batch),
                         num_cols=len(in_batch) + len(halo),
                         row_ptr=row_ptr, col_idx=col_idx, values=values)

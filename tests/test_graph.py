@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from staleburner.graph import (DatasetError, csr_from_edges, load_dataset,
+from staleburner.graph import (DatasetError, NormAdj, csr_from_edges, load_dataset,
                                normalize_adjacency, save_dataset, sbm_generate,
                                spectral_norm_upper)
+from staleburner.partition import make_batch, partition_graph
 
 from conftest import dense_norm_adj, path_graph, star_graph
 
@@ -221,3 +222,84 @@ def test_row_norms_match_dense():
     adj = normalize_adjacency(ds.graph)
     assert np.allclose(adj.row_norms(),
                        np.linalg.norm(adj.to_dense(), axis=1), atol=1e-12)
+
+
+def normalize_loop_reference(g):
+    """The per-node construction normalize_adjacency used before it was
+    vectorized: insert the self-loop into each sorted row, then scale."""
+    n = g.num_nodes
+    inv_sqrt = 1.0 / np.sqrt(g.degrees().astype(np.float64) + 1.0)
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.diff(g.row_ptr) + 1, out=row_ptr[1:])
+    col_idx = np.empty(int(row_ptr[-1]), dtype=np.int64)
+    values = np.empty(int(row_ptr[-1]), dtype=np.float64)
+    for v in range(n):
+        nbrs = g.neighbors(v)
+        out = np.insert(nbrs, np.searchsorted(nbrs, v), v)
+        lo = row_ptr[v]
+        col_idx[lo:lo + len(out)] = out
+        values[lo:lo + len(out)] = inv_sqrt[v] * inv_sqrt[out]
+    return row_ptr, col_idx, values
+
+
+def test_normalize_matches_loop_reference_bitwise():
+    graphs = [sbm_generate(3, 12, 0.4, 0.08, seed=s).graph for s in range(3)]
+    graphs.append(sbm_generate(10, 200, 0.10, 0.002, seed=0).graph)
+    graphs.append(csr_from_edges(6, np.array([0, 4]), np.array([1, 0])))  # 2, 3, 5 isolated
+    graphs.append(csr_from_edges(1, np.array([], dtype=np.int64),
+                                 np.array([], dtype=np.int64)))
+    for g in graphs:
+        adj = normalize_adjacency(g)
+        row_ptr, col_idx, values = normalize_loop_reference(g)
+        assert np.array_equal(adj.row_ptr, row_ptr)
+        assert np.array_equal(adj.col_idx, col_idx)
+        assert np.array_equal(adj.values, values)
+
+
+def matmul_csr_order_reference(adj: NormAdj, x: np.ndarray) -> np.ndarray:
+    """Each output row sums values[k] * x[col_idx[k]] one term at a time,
+    in CSR order, in float64."""
+    x = x.astype(np.float64)
+    out = np.zeros((adj.num_rows, x.shape[1]))
+    for r in range(adj.num_rows):
+        acc = np.zeros(x.shape[1])
+        for k in range(adj.row_ptr[r], adj.row_ptr[r + 1]):
+            acc = acc + adj.values[k] * x[adj.col_idx[k]]
+        out[r] = acc
+    return out
+
+
+def t_matmul_scatter_reference(adj: NormAdj, x: np.ndarray) -> np.ndarray:
+    """The np.add.at scatter t_matmul used before the scipy kernel."""
+    rows = np.repeat(np.arange(adj.num_rows, dtype=np.int64), np.diff(adj.row_ptr))
+    out = np.zeros((adj.num_cols, x.shape[1]), dtype=np.float64)
+    np.add.at(out, adj.col_idx, adj.values[:, None] * x[rows])
+    return out
+
+
+def _square_and_halo_operators():
+    ds = sbm_generate(4, 15, 0.3, 0.05, seed=2)
+    adj = normalize_adjacency(ds.graph)
+    batch = make_batch(adj, partition_graph(ds.graph, 4, seed=1), [0, 2])
+    assert len(batch.halo) > 0 and batch.local_adj.num_cols > batch.local_adj.num_rows
+    return [adj, batch.local_adj]
+
+
+def test_matmul_sums_in_csr_order_bitwise():
+    rng = np.random.default_rng(5)
+    for adj in _square_and_halo_operators():
+        for dtype in (np.float64, np.float32):
+            x = rng.normal(size=(adj.num_cols, 6)).astype(dtype)
+            got = adj.matmul(x)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, matmul_csr_order_reference(adj, x))
+
+
+def test_t_matmul_matches_scatter_bitwise():
+    rng = np.random.default_rng(6)
+    for adj in _square_and_halo_operators():
+        for dtype in (np.float64, np.float32):
+            x = rng.normal(size=(adj.num_rows, 6)).astype(dtype)
+            got = adj.t_matmul(x)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, t_matmul_scatter_reference(adj, x))

@@ -6,6 +6,8 @@ import pytest
 from staleburner.graph import normalize_adjacency, sbm_generate
 from staleburner.partition import (make_batch, make_batch_from_nodes,
                                    partition_graph, schedule_epoch)
+from staleburner.rng import Rng
+from staleburner.trainer import rest_is_refresh_selection
 
 from conftest import clique_union, dense_norm_adj, path_graph
 
@@ -120,6 +122,42 @@ def test_batch_rows_match_global_rows_randomized():
             reconstructed = np.zeros(ds.graph.num_nodes)
             reconstructed[batch.global_map] = local_dense[li]
             assert np.array_equal(reconstructed, dense[v])
+
+
+def batch_from_nodes_loop_reference(g_norm, in_batch):
+    """The per-row slicing make_batch_from_nodes used before it was
+    vectorized: (halo, row_ptr, col_idx, values) of the local operator."""
+    lo = g_norm.row_ptr[in_batch]
+    hi = g_norm.row_ptr[in_batch + 1]
+    nbr_chunks = [g_norm.col_idx[a:b] for a, b in zip(lo, hi)]
+    halo = np.setdiff1d(np.unique(np.concatenate(nbr_chunks)), in_batch,
+                        assume_unique=True)
+    local_of = np.full(g_norm.num_cols, -1, dtype=np.int64)
+    local_of[in_batch] = np.arange(len(in_batch))
+    local_of[halo] = len(in_batch) + np.arange(len(halo))
+    row_ptr = np.zeros(len(in_batch) + 1, dtype=np.int64)
+    np.cumsum(hi - lo, out=row_ptr[1:])
+    col_idx = local_of[np.concatenate(nbr_chunks)]
+    values = np.concatenate([g_norm.values[a:b] for a, b in zip(lo, hi)])
+    return halo, row_ptr, col_idx, values
+
+
+def test_batch_arrays_match_loop_reference():
+    ds = sbm_generate(5, 30, 0.2, 0.02, seed=4)
+    g_norm = normalize_adjacency(ds.graph)
+    part = partition_graph(ds.graph, 6, seed=2)
+    grad = make_batch(g_norm, part, [1, 4])
+    halo_batches = rest_is_refresh_selection(grad, g_norm, 2, Rng(3))
+    assert len(halo_batches) == 2
+    for batch in [grad] + halo_batches:
+        halo, row_ptr, col_idx, values = batch_from_nodes_loop_reference(
+            g_norm, batch.in_batch)
+        assert np.array_equal(batch.halo, halo)
+        assert np.array_equal(batch.global_map, np.concatenate([batch.in_batch, halo]))
+        assert batch.local_adj.num_cols == len(batch.in_batch) + len(halo)
+        assert np.array_equal(batch.local_adj.row_ptr, row_ptr)
+        assert np.array_equal(batch.local_adj.col_idx, col_idx)
+        assert np.array_equal(batch.local_adj.values, values)
 
 
 def test_batch_rejects_bad_cluster_ids():
