@@ -50,14 +50,19 @@ class CsrGraph:
             raise ValueError("row_ptr must be nondecreasing and end at len(col_idx)")
         if len(self.col_idx) and (self.col_idx.min() < 0 or self.col_idx.max() >= n):
             raise ValueError("col_idx out of range")
-        for v in range(n):
-            row = self.neighbors(v)
-            if np.any(np.diff(row) <= 0):
-                raise ValueError(f"row {v} is unsorted or has duplicates")
-            if np.any(row == v):
-                raise ValueError(f"self-loop on node {v}")
-        # symmetry: the multiset of (u, v) pairs equals the multiset of (v, u)
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.row_ptr))
+        # the first offending row decides the message; within one row the
+        # order check comes before the self-loop check
+        same_row = rows[1:] == rows[:-1]
+        unsorted = rows[1:][same_row & (self.col_idx[1:] <= self.col_idx[:-1])]
+        loops = rows[self.col_idx == rows]
+        first_unsorted = int(unsorted[0]) if len(unsorted) else n
+        first_loop = int(loops[0]) if len(loops) else n
+        if first_unsorted < n and first_unsorted <= first_loop:
+            raise ValueError(f"row {first_unsorted} is unsorted or has duplicates")
+        if first_loop < n:
+            raise ValueError(f"self-loop on node {first_loop}")
+        # symmetry: the multiset of (u, v) pairs equals the multiset of (v, u)
         fwd = rows * n + self.col_idx
         rev = self.col_idx * n + rows
         if not np.array_equal(np.sort(fwd), np.sort(rev)):
@@ -84,8 +89,7 @@ def csr_from_edges(num_nodes: int, src: np.ndarray, dst: np.ndarray) -> CsrGraph
     rows = keys // num_nodes
     cols = keys % num_nodes
     row_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(row_ptr, rows + 1, 1)
-    np.cumsum(row_ptr, out=row_ptr)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=row_ptr[1:])
     return CsrGraph(num_nodes=num_nodes, row_ptr=row_ptr, col_idx=cols)
 
 
@@ -246,10 +250,8 @@ def sbm_generate(blocks: int, nodes_per_block: int, p_in: float, p_out: float,
     npb = nodes_per_block
     rng = Rng(derive_seed(seed, "sbm-edges"))
 
-    src: list[int] = []
-    dst: list[int] = []
-
-    def sample_ranges(range_start: np.ndarray, range_len: np.ndarray, p: float) -> None:
+    def sample_ranges(range_start: np.ndarray, range_len: np.ndarray,
+                      p: float) -> tuple[np.ndarray, np.ndarray]:
         # Bernoulli(p) over the concatenation of per-node candidate ranges:
         # node u pairs with v = range_start[u] + offset for offset < range_len[u].
         # Geometric skipping visits only the sampled pairs.
@@ -257,29 +259,20 @@ def sbm_generate(blocks: int, nodes_per_block: int, p_in: float, p_out: float,
         np.cumsum(range_len, out=offsets[1:])
         total = int(offsets[-1])
         if p <= 0.0 or total == 0:
-            return
-        if p >= 1.0:
-            hits = range(total)
-        else:
-            hits = []
-            t = rng.geometric_skip(p)
-            while t < total:
-                hits.append(t)
-                t += 1 + rng.geometric_skip(p)
-        for t in hits:
-            u = int(np.searchsorted(offsets, t, side="right")) - 1
-            src.append(u)
-            dst.append(int(range_start[u]) + (t - int(offsets[u])))
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        hits = np.arange(total, dtype=np.int64) if p >= 1.0 else rng.geometric_hits(p, total)
+        u = np.searchsorted(offsets, hits, side="right") - 1
+        return u, range_start[u] + (hits - offsets[u])
 
     block_end = (np.arange(n, dtype=np.int64) // npb + 1) * npb
     ids = np.arange(n, dtype=np.int64)
     # intra-block: v in (u, block_end)
-    sample_ranges(ids + 1, block_end - (ids + 1), p_in)
+    src_in, dst_in = sample_ranges(ids + 1, block_end - (ids + 1), p_in)
     # cross-block: v in [block_end, n)
-    sample_ranges(block_end, n - block_end, p_out)
+    src_out, dst_out = sample_ranges(block_end, n - block_end, p_out)
 
-    graph = csr_from_edges(n, np.array(src, dtype=np.int64),
-                           np.array(dst, dtype=np.int64))
+    graph = csr_from_edges(n, np.concatenate([src_in, src_out]),
+                           np.concatenate([dst_in, dst_out]))
 
     labels = np.repeat(np.arange(blocks, dtype=np.int64), npb)
     feat_rng = Rng(derive_seed(seed, "sbm-features"))

@@ -8,6 +8,7 @@ cap of 1.3 * n / P. Quality is reported (edge cut), not assumed.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -61,6 +62,42 @@ def _edge_cut(g: CsrGraph, cluster_of: np.ndarray) -> int:
     return int(crossing.sum()) // 2
 
 
+_NODE_BLOCK = 8192  # nodes per block of the proposal pass
+
+
+def _proposals(g: CsrGraph, cluster_of: np.ndarray,
+               num_parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every node's refinement proposal: the cluster holding most of its
+    neighbours (lowest id on ties, as np.argmax picks it), that cluster's
+    neighbour count, and the neighbour count of the node's own cluster.
+    Nodes without neighbours get (-1, 0, 0).
+
+    Only the (node, cluster) pairs that occur are counted, a block of nodes
+    at a time: the temporaries stay small and are the same size from block
+    to block, so the allocator hands every block the same memory instead of
+    growing the heap under the arrays that outlive the partition."""
+    n = g.num_nodes
+    best = np.full(n, -1, dtype=np.int64)
+    best_count = np.zeros(n, dtype=np.int64)
+    own_count = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, _NODE_BLOCK):
+        hi = min(lo + _NODE_BLOCK, n)
+        ptr = g.row_ptr[lo:hi + 1]
+        local = np.repeat(np.arange(hi - lo, dtype=np.int64), np.diff(ptr))
+        nbr_cluster = cluster_of[g.col_idx[ptr[0]:ptr[-1]]]
+        keys, counts = np.unique(local * num_parts + nbr_cluster, return_counts=True)
+        node = keys // num_parts
+        # max count first, then the lowest cluster id
+        score = counts * num_parts + (num_parts - 1 - keys % num_parts)
+        first = np.flatnonzero(np.diff(node, prepend=-1))
+        top = np.maximum.reduceat(score, first)
+        best[lo + node[first]] = num_parts - 1 - top % num_parts
+        best_count[lo + node[first]] = top // num_parts
+        own = nbr_cluster == cluster_of[lo:hi][local]
+        own_count[lo:hi] = np.bincount(local[own], minlength=hi - lo)
+    return best, best_count, own_count
+
+
 def partition_graph(g: CsrGraph, num_parts: int, seed: int) -> Partition:
     """Cluster the graph into num_parts balanced, low-cut node sets.
 
@@ -74,8 +111,15 @@ def partition_graph(g: CsrGraph, num_parts: int, seed: int) -> Partition:
 
     rng = Rng(seed)
     degrees = g.degrees()
-    cluster_of = np.full(n, -1, dtype=np.int64)
+    row_ptr, col_idx = g.row_ptr.tolist(), g.col_idx
+    cluster_of = np.full(n, -1, dtype=np.int64)  # node -> part
     unassigned = n
+    # nodes by (degree, id): the unassigned nodes of least degree, in id
+    # order, are the unassigned part of the degree group at the first
+    # unassigned position
+    by_degree = np.argsort(degrees, kind="stable")
+    degree_sorted = degrees[by_degree]
+    first_free = 0
 
     for part in range(num_parts):
         target = math.ceil(unassigned / (num_parts - part))
@@ -84,8 +128,12 @@ def partition_graph(g: CsrGraph, num_parts: int, seed: int) -> Partition:
         while size < target:
             if not frontier:
                 # new BFS seed: lowest-degree unassigned node, seeded tie-break
-                free = np.flatnonzero(cluster_of < 0)
-                cand = free[degrees[free] == degrees[free].min()]
+                while cluster_of[by_degree[first_free]] >= 0:
+                    first_free += 1
+                group_end = np.searchsorted(degree_sorted, degree_sorted[first_free],
+                                            side="right")
+                group = by_degree[first_free:group_end]
+                cand = group[cluster_of[group] < 0]
                 frontier.append(int(cand[rng.below(len(cand))]))
             v = frontier.popleft()
             if cluster_of[v] >= 0:
@@ -93,35 +141,57 @@ def partition_graph(g: CsrGraph, num_parts: int, seed: int) -> Partition:
             cluster_of[v] = part
             size += 1
             unassigned -= 1
-            for u in g.neighbors(v):
+            for u in col_idx[row_ptr[v]:row_ptr[v + 1]].tolist():
                 if cluster_of[u] < 0:
-                    frontier.append(int(u))
+                    frontier.append(u)
 
-    # greedy boundary refinement: move a node to the adjacent cluster holding
-    # most of its neighbors when that strictly reduces the cut and respects
-    # the balance cap
+    # greedy boundary refinement: visiting nodes in id order, move a node to
+    # the adjacent cluster holding most of its neighbors when that strictly
+    # reduces the cut and respects the balance cap. A node's proposal changes
+    # within a sweep only once a lower-id neighbour has moved, so each sweep
+    # computes all proposals up front and visits, in id order, only the nodes
+    # whose proposal moves them and the neighbours of nodes that moved.
     cap = max(math.ceil(n / num_parts), math.floor(1.3 * n / num_parts))
     floor_size = max(1, math.floor(n / num_parts / 1.3))
-    sizes = np.bincount(cluster_of, minlength=num_parts)
+    assigned = cluster_of.tolist()  # live; cluster_of is refreshed after each sweep
+    sizes = np.bincount(cluster_of, minlength=num_parts).tolist()
     for _ in range(10):
+        best, best_count, own_count = _proposals(g, cluster_of, num_parts)
+        movable = best_count > own_count
+        queue = np.flatnonzero(movable).tolist()  # sorted, so already a heap
+        queued = bytearray(movable.tobytes())
+        dirty = bytearray(n)  # a lower-id neighbour moved in this sweep
         moved = 0
-        for v in range(n):
-            nbrs = g.neighbors(v)
-            if len(nbrs) == 0:
+        while queue:
+            v = heapq.heappop(queue)
+            cur = assigned[v]
+            nbrs = col_idx[row_ptr[v]:row_ptr[v + 1]].tolist()
+            if dirty[v]:
+                counts: dict[int, int] = {}
+                for u in nbrs:
+                    c = assigned[u]
+                    counts[c] = counts.get(c, 0) + 1
+                most = max(counts.values())
+                dest = min(c for c, k in counts.items() if k == most)
+                if most <= counts.get(cur, 0):
+                    continue
+            else:
+                dest = int(best[v])
+            if sizes[dest] + 1 > cap or sizes[cur] - 1 < floor_size:
                 continue
-            cur = cluster_of[v]
-            counts = np.bincount(cluster_of[nbrs], minlength=num_parts)
-            best = int(np.argmax(counts))
-            if best == cur or counts[best] <= counts[cur]:
-                continue
-            if sizes[best] + 1 > cap or sizes[cur] - 1 < floor_size:
-                continue
-            cluster_of[v] = best
+            assigned[v] = dest
             sizes[cur] -= 1
-            sizes[best] += 1
+            sizes[dest] += 1
             moved += 1
+            for u in nbrs:
+                if u > v:
+                    dirty[u] = 1
+                    if not queued[u]:
+                        queued[u] = 1
+                        heapq.heappush(queue, u)
         if moved == 0:
             break
+        cluster_of = np.array(assigned, dtype=np.int64)
 
     clusters = tuple(np.flatnonzero(cluster_of == p) for p in range(num_parts))
     part = Partition(num_parts=num_parts, cluster_of=cluster_of,

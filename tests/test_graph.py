@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from staleburner.graph import (DatasetError, NormAdj, csr_from_edges, load_dataset,
-                               normalize_adjacency, save_dataset, sbm_generate,
-                               spectral_norm_upper)
+from staleburner.graph import (CsrGraph, DatasetError, NormAdj, csr_from_edges,
+                               load_dataset, normalize_adjacency, save_dataset,
+                               sbm_generate, spectral_norm_upper)
 from staleburner.partition import make_batch, partition_graph
 
 from conftest import dense_norm_adj, path_graph, star_graph
+from reference_setup import sbm_generate_reference
 
 
 def write_dataset_dir(tmp_path, edges, features, labels, masks):
@@ -303,3 +304,78 @@ def test_t_matmul_matches_scatter_bitwise():
             got = adj.t_matmul(x)
             assert got.dtype == np.float64
             assert np.array_equal(got, t_matmul_scatter_reference(adj, x))
+
+
+# ---------------------------------------------------------------------------
+# the vectorized set-up path against the loop implementations it replaced
+
+SBM_GRID = [
+    # blocks, nodes_per_block, p_in, p_out, d_in
+    (2, 1, 1.0, 0.0, 0),          # p_in = 1: every pair, no draw
+    (3, 12, 1.0, 0.2, 5),         # p_in = 1 beside a sampled cross range
+    (4, 30, 0.2, 0.0, 0),         # p_out = 0: no cross-block draw
+    (5, 40, 0.3, 0.01, 7),        # d_in != blocks
+    (1, 50, 0.5, 0.0, 3),         # one block, no cross range at all
+    (10, 200, 0.10, 0.002, 10),   # the sweep-2k graph
+    (4, 2000, 0.02, 0.0005, 9),   # many lanes for both edges and features
+]
+
+
+@pytest.mark.parametrize("args", SBM_GRID)
+@pytest.mark.parametrize("seed", [0, 5, 12345])
+def test_sbm_matches_loop_reference_bitwise(args, seed):
+    blocks, npb, p_in, p_out, d_in = args
+    got = sbm_generate(blocks, npb, p_in, p_out, d_in=d_in, seed=seed)
+    ref = sbm_generate_reference(blocks, npb, p_in, p_out, d_in=d_in, seed=seed)
+    assert np.array_equal(got.graph.row_ptr, ref.graph.row_ptr)
+    assert np.array_equal(got.graph.col_idx, ref.graph.col_idx)
+    assert got.features.dtype == ref.features.dtype
+    assert np.array_equal(got.features, ref.features)
+    assert np.array_equal(got.labels, ref.labels)
+    assert np.array_equal(got.train_mask, ref.train_mask)
+    assert np.array_equal(got.val_mask, ref.val_mask)
+    assert np.array_equal(got.test_mask, ref.test_mask)
+
+
+def test_csr_from_edges_row_ptr_counts_rows():
+    g = csr_from_edges(6, np.array([0, 0, 4, 2]), np.array([1, 4, 1, 1]))
+    assert g.row_ptr.tolist() == [0, 2, 5, 6, 6, 8, 8]
+    assert g.col_idx.tolist() == [1, 4, 0, 2, 4, 1, 0, 1]
+
+
+def csr(n, rows):
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=row_ptr[1:])
+    col_idx = np.array([c for r in rows for c in r], dtype=np.int64)
+    return CsrGraph(num_nodes=n, row_ptr=row_ptr, col_idx=col_idx)
+
+
+def test_validate_accepts_symmetric_graph():
+    csr(4, [[1], [0, 2], [1], []]).validate()
+    csr(0, []).validate()
+
+
+@pytest.mark.parametrize("graph,message", [
+    (CsrGraph(2, np.array([0, 1], dtype=np.int64), np.array([1], dtype=np.int64)),
+     "row_ptr must have length num_nodes+1 and start at 0"),
+    (CsrGraph(2, np.array([1, 1, 2], dtype=np.int64), np.array([1, 0], dtype=np.int64)),
+     "row_ptr must have length num_nodes+1 and start at 0"),
+    (CsrGraph(2, np.array([0, 2, 1], dtype=np.int64), np.array([1, 0], dtype=np.int64)),
+     "row_ptr must be nondecreasing and end at len(col_idx)"),
+    (CsrGraph(2, np.array([0, 1, 2], dtype=np.int64), np.array([1, 0, 0], dtype=np.int64)),
+     "row_ptr must be nondecreasing and end at len(col_idx)"),
+    (csr(3, [[1], [0, 3], [1]]), "col_idx out of range"),
+    (csr(3, [[1], [0], [-1]]), "col_idx out of range"),
+    (csr(4, [[1, 2], [3, 0], [0], [1]]), "row 1 is unsorted or has duplicates"),
+    (csr(3, [[1], [0, 2, 2], [1]]), "row 1 is unsorted or has duplicates"),
+    # row 1 is unsorted and holds a self-loop: the order check comes first
+    (csr(3, [[1], [1, 0], [2]]), "row 1 is unsorted or has duplicates"),
+    (csr(3, [[1], [0], [0, 2]]), "self-loop on node 2"),
+    # the self-loop on node 0 comes before the unsorted row 1
+    (csr(3, [[0, 1], [2, 0], [1]]), "self-loop on node 0"),
+    (csr(3, [[1], [0, 2], []]), "adjacency is not symmetric"),
+])
+def test_validate_error_branches(graph, message):
+    with pytest.raises(ValueError) as err:
+        graph.validate()
+    assert str(err.value) == message

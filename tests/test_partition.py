@@ -3,13 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from staleburner.graph import normalize_adjacency, sbm_generate
+from staleburner.graph import csr_from_edges, normalize_adjacency, sbm_generate
 from staleburner.partition import (make_batch, make_batch_from_nodes,
                                    partition_graph, schedule_epoch)
 from staleburner.rng import Rng
 from staleburner.trainer import rest_is_refresh_selection
 
 from conftest import clique_union, dense_norm_adj, path_graph
+from reference_setup import partition_graph_reference
 
 
 def test_single_part_is_everything():
@@ -256,3 +257,41 @@ def test_schedule_rejects_bad_args():
         schedule_epoch(part, 1, -1, "round_robin", seed=0)
     with pytest.raises(ValueError):
         schedule_epoch(part, 1, 0, "fancy", seed=0)
+
+
+# ---------------------------------------------------------------------------
+# candidate-only refinement against the full per-node sweep it replaced
+
+def _with_isolated_nodes():
+    # a path 0-1-2, a triangle 4-5-6, nodes 3, 7, 8 isolated
+    return csr_from_edges(9, np.array([0, 1, 4, 5, 4]), np.array([1, 2, 5, 6, 6]))
+
+
+PARTITION_CASES = [
+    ("sbm-4x30", lambda: sbm_generate(4, 30, 0.3, 0.03, seed=1).graph, [1, 3, 6, 120]),
+    ("sbm-5x40", lambda: sbm_generate(5, 40, 0.2, 0.02, seed=2).graph, [8, 40]),
+    ("sweep-2k", lambda: sbm_generate(10, 200, 0.10, 0.002, seed=4).graph, [16]),
+    ("sbm-20x300", lambda: sbm_generate(20, 300, 0.02, 0.0005, seed=6).graph, [32]),
+    ("two-cliques", lambda: clique_union(2, 50), [1, 2, 3]),
+    ("path-4", lambda: path_graph(4), [1, 2, 4]),
+    ("isolated", _with_isolated_nodes, [1, 2, 3, 9]),
+    ("edgeless", lambda: csr_from_edges(5, np.zeros(0, np.int64), np.zeros(0, np.int64)),
+     [1, 2, 5]),
+    # one edge, and node blocks of the proposal pass with no edge at all
+    ("one-edge-8k", lambda: csr_from_edges(8300, np.array([8250]), np.array([8251])), [3]),
+]
+
+
+@pytest.mark.parametrize("name,make,part_counts", PARTITION_CASES,
+                         ids=[c[0] for c in PARTITION_CASES])
+def test_partition_matches_sweep_reference(name, make, part_counts):
+    g = make()
+    for num_parts in part_counts:
+        for seed in (0, 9):
+            got = partition_graph(g, num_parts, seed=seed)
+            ref = partition_graph_reference(g, num_parts, seed=seed)
+            assert np.array_equal(got.cluster_of, ref.cluster_of), (num_parts, seed)
+            assert got.edge_cut == ref.edge_cut
+            for a, b in zip(got.clusters, ref.clusters):
+                assert np.array_equal(a, b)
+
