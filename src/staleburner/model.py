@@ -68,28 +68,34 @@ class LayerCache:
     hs: list[np.ndarray] = field(default_factory=list)
 
 
-def layer_apply(adj: NormAdj, inputs: np.ndarray, w: np.ndarray, b: np.ndarray,
-                last: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One propagation layer; returns (agg, pre-activation, output)."""
-    agg = adj.matmul(inputs)
+def layer_apply(adj: NormAdj, inputs: np.ndarray | None, w: np.ndarray,
+                b: np.ndarray, last: bool, agg: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One propagation layer; returns (agg, pre-activation, output). A given
+    `agg` is adj @ inputs already computed, and inputs are then unused."""
+    if agg is None:
+        agg = adj.matmul(inputs)
     z = agg @ w + b
     h = z if last else np.maximum(z, 0.0)
     return agg, z, h
 
 
-def full_forward(adj: NormAdj, features: np.ndarray, params: GcnParams
+def full_forward(adj: NormAdj, features: np.ndarray, params: GcnParams,
+                 agg: np.ndarray | None = None
                  ) -> tuple[list[np.ndarray], LayerCache]:
     """Whole-graph forward at current parameters; the reference against which
-    memory-filled runs are measured."""
+    memory-filled runs are measured. `agg`, when given, is adj @ features
+    (parameter-free) and stands in for layer 1's aggregation."""
     n = adj.num_rows
     if features.shape[0] != n:
         raise ValueError("feature rows != graph size")
     cache = LayerCache(adj=adj, num_in_batch=n)
-    h = features.astype(np.float64, copy=False)
+    h = None if agg is not None else features.astype(np.float64, copy=False)
     for l in range(params.num_layers):
-        agg, z, h = layer_apply(adj, h, params.weights[l], params.biases[l],
-                                last=(l == params.num_layers - 1))
-        cache.aggs.append(agg)
+        a, z, h = layer_apply(adj, h, params.weights[l], params.biases[l],
+                              last=(l == params.num_layers - 1),
+                              agg=agg if l == 0 else None)
+        cache.aggs.append(a)
         cache.zs.append(z)
         cache.hs.append(h)
     if not np.all(np.isfinite(cache.hs[-1])):

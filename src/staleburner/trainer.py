@@ -1,7 +1,7 @@
 """Training regimes over the history table.
 
 Modes:
-  full       one whole-graph gradient step per epoch, memory unused
+  full       one whole-graph gradient step per epoch, no memory table
   gas        mini-batch steps where out-of-batch neighbor rows come from the
              memory table; each step pushes its fresh in-batch rows
   rest       gas plus F gradient-free forward passes per step that refresh
@@ -14,6 +14,12 @@ Every mode runs the same step: a refresh pass over the step's refresh batches
 unless the mode is full. Reference semantics are strictly sequential: refresh
 batches in listed order, then the gradient batch. All modes collapse to
 identical full-batch steps when the partition has a single cluster.
+
+Every step ends with a whole-graph evaluate. Its forward is held until the
+parameters change: it is the oracle of the probe that opens the next step
+and, in full mode without dropout, the next gradient step's forward. Without
+dropout the memory modes also compute Â·X once per run, so layer 1 gathers
+rows instead of aggregating. Records and parameters stay bit-identical.
 """
 
 from __future__ import annotations
@@ -21,12 +27,13 @@ from __future__ import annotations
 import logging
 import struct
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Dataset, NormAdj, normalize_adjacency
-from .history import HistoryTable, persistence_stats
+from .history import HistoryTable, LayerPersistence, persistence_stats
 from .metrics import MetricsRecord, approximation_error
 from .model import (Adam, GcnParams, LayerCache, accuracy, backward,
                     full_forward, init_params, layer_apply, loss_and_grad)
@@ -98,7 +105,8 @@ def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
                                params: GcnParams, history: HistoryTable,
                                push: bool, step: int,
                                drop: tuple[float, np.random.Generator] | None = None,
-                               pull_from: HistoryTable | None = None
+                               pull_from: HistoryTable | None = None,
+                               ax: np.ndarray | None = None
                                ) -> tuple[list[np.ndarray], LayerCache, int]:
     """Forward over a batch, memory rows standing in for halo neighbors.
 
@@ -110,21 +118,30 @@ def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
 
     pull_from redirects reads to another table (the pre-pass snapshot used by
     the concurrent-refresh semantics); pushes always hit `history`.
+
+    ax, the whole-graph product Â·X, gives layer 1's aggregation as its
+    in-batch rows: each row sums the same terms in the same CSR order, so the
+    result is bit-identical. It cannot stand in for dropped-out inputs.
     """
+    dropping = drop is not None and drop[0] > 0.0
+    if ax is not None and dropping:
+        raise ValueError("Â·X cannot stand in for aggregating dropped-out inputs")
     L = params.num_layers
     nb = len(batch.in_batch)
     reads = history if pull_from is None else pull_from
     cache = LayerCache(adj=batch.local_adj, num_in_batch=nb)
     cold_total = 0
-    inputs = features[batch.global_map].astype(np.float64)
+    inputs = None if ax is not None else features[batch.global_map].astype(np.float64)
     h = None
     for l in range(L):
-        if drop is not None and drop[0] > 0.0:
+        if dropping:
             rate, gen = drop
             keep = gen.random(inputs.shape) >= rate
             inputs = inputs * keep / (1.0 - rate)
         agg, z, h = layer_apply(batch.local_adj, inputs, params.weights[l],
-                                params.biases[l], last=(l == L - 1))
+                                params.biases[l], last=(l == L - 1),
+                                agg=ax[batch.in_batch] if l == 0 and ax is not None
+                                else None)
         cache.aggs.append(agg)
         cache.zs.append(z)
         cache.hs.append(h)
@@ -144,17 +161,28 @@ def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
 
 def train_step_gas(batch: MiniBatch, state: TrainState, ds: Dataset,
                    push: bool = True,
-                   drop: tuple[float, np.random.Generator] | None = None) -> float:
+                   drop: tuple[float, np.random.Generator] | None = None,
+                   ax: np.ndarray | None = None,
+                   forward: LayerCache | None = None) -> float:
     """One gradient step on a batch: forward with memory fill, masked loss,
-    backward treating pulled rows as constants, optimizer update."""
+    backward treating pulled rows as constants, optimizer update.
+
+    forward, a whole-graph forward already run at the current parameters,
+    is the step's forward when the batch is the whole graph, which has no
+    halo and lists its nodes in global order; it must be dropout-free."""
     mask = ds.train_mask[batch.in_batch]
     if not mask.any():
         raise ValueError(
             f"no training nodes in batch of {len(batch.in_batch)} nodes "
             f"(first id {batch.in_batch[0]})")
-    hs, cache, _ = batch_forward_with_history(
-        batch, ds.features, state.params, state.history,
-        push=push, step=state.model_step, drop=drop)
+    if forward is None:
+        hs, cache, _ = batch_forward_with_history(
+            batch, ds.features, state.params, state.history,
+            push=push, step=state.model_step, drop=drop, ax=ax)
+    elif len(batch.halo) or forward.num_in_batch != len(batch.in_batch):
+        raise ValueError("a whole-graph forward can only stand in for the whole graph")
+    else:
+        hs, cache = forward.hs, forward
     loss, dlogits = loss_and_grad(hs[-1], ds.labels[batch.in_batch], mask)
     grads, _ = backward(cache, dlogits, state.params)
     state.adam.step(state.params, grads)
@@ -164,7 +192,8 @@ def train_step_gas(batch: MiniBatch, state: TrainState, ds: Dataset,
 
 def rest_refresh_pass(batches: list[MiniBatch], state: TrainState, ds: Dataset,
                       drop: tuple[float, np.random.Generator] | None = None,
-                      snapshot_reads: bool = False) -> None:
+                      snapshot_reads: bool = False,
+                      ax: np.ndarray | None = None) -> None:
     """Gradient-free forwards that only rewrite table rows; parameters and the
     step counter are untouched.
 
@@ -182,7 +211,7 @@ def rest_refresh_pass(batches: list[MiniBatch], state: TrainState, ds: Dataset,
     for batch in batches:
         batch_forward_with_history(batch, ds.features, state.params, state.history,
                                    push=True, step=state.model_step, drop=drop,
-                                   pull_from=pull_from)
+                                   pull_from=pull_from, ax=ax)
 
 
 def rest_is_refresh_selection(grad_batch: MiniBatch, g_norm: NormAdj,
@@ -209,32 +238,39 @@ def rest_is_refresh_selection(grad_batch: MiniBatch, g_norm: NormAdj,
     return [make_batch_from_nodes(g_norm, chunk) for chunk in chunks if len(chunk)]
 
 
-def evaluate(g_norm: NormAdj, ds: Dataset, params: GcnParams
+def evaluate(g_norm: NormAdj, ds: Dataset, params: GcnParams,
+             forward: Callable[[], LayerCache] | None = None
              ) -> tuple[float, float, float]:
     """Whole-graph accuracies at current parameters; no staleness in the
-    reported numbers regardless of training mode."""
-    hs, _ = full_forward(g_norm, ds.features, params)
+    reported numbers regardless of training mode. `forward` returns the
+    whole-graph forward at `params` when the caller keeps one to share."""
+    if forward is None:
+        hs, _ = full_forward(g_norm, ds.features, params)
+    else:
+        hs = forward().hs
     return (accuracy(hs[-1], ds.labels, ds.train_mask),
             accuracy(hs[-1], ds.labels, ds.val_mask),
             accuracy(hs[-1], ds.labels, ds.test_mask))
 
 
-def _probe_apx_errors(g_norm: NormAdj, ds: Dataset, state: TrainState,
-                      chunk_batches: list[MiniBatch], mode: str
-                      ) -> tuple[float, ...]:
+def _probe_apx_errors(ds: Dataset, state: TrainState,
+                      chunk_batches: list[MiniBatch], mode: str,
+                      oracle: Callable[[], LayerCache],
+                      ax: np.ndarray | None = None) -> tuple[float, ...]:
     """Per-layer mean distance between memory/run embeddings and a fresh
-    whole-graph forward: stored layers come straight from the table, the final
-    layer from re-running every batch against the current table. Full mode
-    reads no table, so its errors are zero without a forward."""
+    whole-graph forward (`oracle()`, at the current parameters): stored layers
+    come straight from the table, the final layer from re-running every batch
+    against the current table. Full mode reads no table, so its errors are
+    zero without a forward."""
     if mode == "full":
         return tuple(0.0 for _ in range(state.params.num_layers))
-    oracle_hs, _ = full_forward(g_norm, ds.features, state.params)
+    oracle_hs = oracle().hs
     table_errs = approximation_error(state.history, oracle_hs)
     run_logits = np.zeros_like(oracle_hs[-1])
     for batch in chunk_batches:
         hs, _, _ = batch_forward_with_history(
             batch, ds.features, state.params, state.history,
-            push=False, step=state.model_step)
+            push=False, step=state.model_step, ax=ax)
         run_logits[batch.in_batch] = hs[-1]
     final_err = approximation_error(run_logits, oracle_hs[-1])
     return tuple(table_errs) + (final_err,)
@@ -280,25 +316,35 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     dims = ([ds.num_features]
             + [cfg.hidden] * (cfg.num_layers - 1)
             + [ds.num_classes])
+    memory = cfg.mode != "full"
+    # full mode reads no table: it keeps an empty one and reports what a
+    # never-written table would, every hidden row cold
     state = TrainState(
         params=init_params(dims, derive_seed(cfg.seed, "init")),
         adam=Adam(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                   eps=cfg.adam_eps, weight_decay=cfg.weight_decay),
-        history=HistoryTable(n, dims[1:-1]),
+        history=HistoryTable(n, dims[1:-1] if memory else []),
     )
+    cold_stats = [LayerPersistence(mean=0.0, max=0, hist=np.zeros(1, dtype=np.int64),
+                                   cold=n)] * (cfg.num_layers - 1)
     drop = None
     if cfg.dropout > 0.0:
         drop = (cfg.dropout,
                 np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "dropout"))))
+    # Â·X is parameter-free, so without input dropout layer 1 gathers its rows
+    # instead of aggregating; full mode aggregates X once per step anyway and
+    # would only carry the n x d_in float64 array
+    ax = g_norm.matmul(ds.features) if memory and drop is None else None
     is_rng = Rng(derive_seed(cfg.seed, "importance"))
     sched_seed = derive_seed(cfg.seed, "schedule")
     sampler = "importance" if cfg.mode == "rest_is" else cfg.sampler
-    memory = cfg.mode != "full"
     # gas is rest without refresh batches, whatever F its config carries
     refresh_per_step = 0 if cfg.mode == "gas" else cfg.refresh_per_step
     whole_ids = tuple(range(part.num_parts))
-
-    batch_cache: dict[tuple[int, ...], MiniBatch] = {}
+    whole = np.arange(n, dtype=np.int64)
+    batch_cache: dict[tuple[int, ...], MiniBatch] = {
+        whole_ids: MiniBatch(in_batch=whole, halo=np.empty(0, dtype=np.int64),
+                             local_adj=g_norm, global_map=whole)}
 
     def cluster_batch(ids: tuple[int, ...]) -> MiniBatch:
         key = tuple(sorted(ids))
@@ -306,10 +352,30 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
             batch_cache[key] = make_batch(g_norm, part, list(key))
         return batch_cache[key]
 
+    # full mode without dropout trains on the whole graph with evaluate's
+    # forward; every other mode reads only that forward's outputs
+    share_grad_forward = not memory and drop is None
+    # the latest whole-graph forward, keyed by the parameter version it ran at
+    held: dict[int, LayerCache] = {}
+
+    def whole_forward() -> LayerCache:
+        """The whole-graph forward at the current parameters, run once per
+        version: evaluate's forward after step t is the oracle of the probe
+        that opens step t+1 and, in full mode, its gradient forward. The old
+        version's is dropped first, so two whole-graph caches never coexist,
+        and the backward intermediates are kept only for a gradient step."""
+        if state.model_step not in held:
+            held.clear()
+            hs, cache = full_forward(g_norm, ds.features, state.params, agg=ax)
+            held[state.model_step] = (cache if share_grad_forward
+                                      else LayerCache(adj=g_norm, num_in_batch=n, hs=hs))
+        return held[state.model_step]
+
     if cfg.warmup_refresh and memory:
         # gradient-free whole-graph refresh so no pull ever reads the zero init
         batch_forward_with_history(cluster_batch(whole_ids), ds.features,
-                                   state.params, state.history, push=True, step=0)
+                                   state.params, state.history, push=True, step=0,
+                                   ax=ax)
 
     for epoch in range(cfg.epochs):
         if memory:
@@ -321,10 +387,11 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
         chunk_ids = [st.grad for st in steps]
         for st in steps:
             t0 = time.perf_counter()
-            pstats = persistence_stats(state.history, state.model_step)
+            pstats = (persistence_stats(state.history, state.model_step) if memory
+                      else cold_stats)
             if cfg.probe_every > 0 and state.model_step % cfg.probe_every == 0:
-                apx = _probe_apx_errors(g_norm, ds, state,
-                                        [cluster_batch(c) for c in chunk_ids], cfg.mode)
+                apx = _probe_apx_errors(ds, state, [cluster_batch(c) for c in chunk_ids],
+                                        cfg.mode, whole_forward, ax)
             else:
                 apx = tuple([float("nan")] * cfg.num_layers)
             grad_batch = cluster_batch(st.grad)
@@ -335,15 +402,20 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
                 refresh = [cluster_batch(c) for c in st.refresh]
             try:
                 rest_refresh_pass(refresh, state, ds, drop=drop,
-                                  snapshot_reads=cfg.parallel_refresh)
-                loss = train_step_gas(grad_batch, state, ds, push=memory, drop=drop)
+                                  snapshot_reads=cfg.parallel_refresh, ax=ax)
+                # the held forward is passed, never bound here, so it is
+                # released before evaluate computes the next one
+                loss = train_step_gas(
+                    grad_batch, state, ds, push=memory, drop=drop, ax=ax,
+                    forward=held.get(state.model_step) if share_grad_forward else None)
             except FloatingPointError:
                 if dump_prefix is not None:
                     save_checkpoint(state.params, dump_prefix + "_diverged.ckpt")
-                    state.history.dump(dump_prefix + "_history")
+                    table = state.history if memory else HistoryTable(n, dims[1:-1])
+                    table.dump(dump_prefix + "_history")
                 raise
             wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
-            acc_tr, acc_val, acc_te = evaluate(g_norm, ds, state.params)
+            acc_tr, acc_val, acc_te = evaluate(g_norm, ds, state.params, whole_forward)
             state.records.append(MetricsRecord(
                 step=state.model_step, epoch=epoch, loss=loss,
                 acc_train=acc_tr, acc_val=acc_val, acc_test=acc_te,

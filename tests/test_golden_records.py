@@ -1,0 +1,67 @@
+"""Golden records: the sha256 of every `format_record` line and of the final
+parameter bytes for a small grid of runs, pinned to values recorded before
+`run_training` shared its whole-graph forward and cached Â·X.
+
+Performance work on the training loop must keep both digests byte for byte.
+Regenerate `golden_records.json` only for a change that is meant to move the
+records, and say so where the change is described:
+
+    PYTHONPATH=src python tests/test_golden_records.py > tests/golden_records.json
+"""
+
+import hashlib
+import itertools
+import json
+import logging
+from pathlib import Path
+
+import pytest
+
+from staleburner.graph import sbm_generate
+from staleburner.metrics import format_record
+from staleburner.partition import partition_graph
+from staleburner.trainer import TrainConfig, run_training
+
+GOLDEN_PATH = Path(__file__).with_name("golden_records.json")
+
+
+def cases() -> dict[str, tuple[int, dict]]:
+    """Case id -> (number of parts, TrainConfig overrides)."""
+    out = {}
+    for mode, dropout, probe, parts in itertools.product(
+            ("full", "gas", "rest", "rest_is"), (0.0, 0.3), (0, 1, 3), (1, 4)):
+        out[f"{mode}-drop{dropout}-probe{probe}-parts{parts}"] = (
+            parts, dict(mode=mode, dropout=dropout, probe_every=probe))
+    out["rest-3layer-cpb2"] = (4, dict(mode="rest", num_layers=3,
+                                       clusters_per_batch=2, probe_every=1))
+    return out
+
+
+def digests(parts: int, overrides: dict) -> list[str]:
+    """[sha256 of the record lines, sha256 of the final float64 parameters]."""
+    ds = sbm_generate(4, 15, 0.3, 0.03, d_in=6, seed=5)
+    part = partition_graph(ds.graph, parts, seed=2)
+    cfg = TrainConfig(epochs=2, hidden=6, lr=0.05, refresh_per_step=1, seed=3,
+                      **overrides)
+    logging.disable(logging.WARNING)  # rest_is on one part warns every step
+    try:
+        records, params = run_training(cfg, ds, part)
+    finally:
+        logging.disable(logging.NOTSET)
+    lines = "".join(format_record(r) + "\n" for r in records)
+    return [hashlib.sha256(lines.encode()).hexdigest(),
+            hashlib.sha256(params.flat().tobytes()).hexdigest()]
+
+
+def test_golden_file_covers_the_grid():
+    assert sorted(json.loads(GOLDEN_PATH.read_text())) == sorted(cases())
+
+
+@pytest.mark.parametrize("case", sorted(cases()))
+def test_records_and_parameters_match_golden(case):
+    golden = json.loads(GOLDEN_PATH.read_text())[case]
+    assert digests(*cases()[case]) == golden
+
+
+if __name__ == "__main__":
+    print(json.dumps({c: digests(*a) for c, a in sorted(cases().items())}, indent=1))

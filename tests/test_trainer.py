@@ -8,8 +8,8 @@ from staleburner import trainer
 from staleburner.graph import normalize_adjacency, sbm_generate
 from staleburner.history import HistoryTable, persistence_stats
 from staleburner.model import Adam, backward, full_forward, init_params, loss_and_grad
-from staleburner.partition import (Partition, make_batch, make_batch_from_nodes,
-                                   partition_graph)
+from staleburner.partition import (MiniBatch, Partition, make_batch,
+                                   make_batch_from_nodes, partition_graph)
 from staleburner.trainer import (TrainConfig, TrainState,
                                  batch_forward_with_history,
                                  rest_is_refresh_selection, rest_refresh_pass,
@@ -125,6 +125,66 @@ def test_batch_forward_pushes_at_step():
     assert cold == 0
     assert np.array_equal(got, hs[0].astype(np.float32))
     assert np.all(table.last_update[batch.in_batch, 0] == 4)
+
+
+def test_ax_rows_equal_batch_aggregation_bitwise():
+    # layer 1 of a batch forward may gather rows of the whole-graph Â·X: every
+    # kind of batch the trainer builds sums the same terms in CSR order
+    ds = sbm_generate(4, 25, 0.3, 0.05, d_in=7, seed=40)
+    g_norm = normalize_adjacency(ds.graph)
+    part = partition_graph(ds.graph, 4, seed=1)
+    ax = g_norm.matmul(ds.features)
+    assert ds.features.dtype == np.float32
+    assert np.array_equal(ax, g_norm.matmul(ds.features.astype(np.float64)))
+    n = ds.graph.num_nodes
+    grad_batch = make_batch(g_norm, part, [2])
+    batches = [make_batch(g_norm, part, [0]),
+               make_batch(g_norm, part, [1, 3]),
+               *rest_is_refresh_selection(grad_batch, g_norm, 2, Rng(4)),
+               make_batch(g_norm, part, [0, 1, 2, 3]),
+               MiniBatch(in_batch=np.arange(n), halo=np.empty(0, dtype=np.int64),
+                         local_adj=g_norm, global_map=np.arange(n))]
+    assert len(batches) == 6
+    for b in batches:
+        ref = b.local_adj.matmul(ds.features[b.global_map].astype(np.float64))
+        assert np.array_equal(ax[b.in_batch], ref)
+
+
+def test_batch_forward_with_ax_is_bitwise_identical():
+    ds = small_dataset(seed=6)
+    g_norm = normalize_adjacency(ds.graph)
+    part = partition_graph(ds.graph, 4, seed=3)
+    dims = [ds.num_features, 5, 5, ds.num_classes]
+    params = init_params(dims, seed=8)
+    ax = g_norm.matmul(ds.features)
+    hs_full, _ = full_forward(g_norm, ds.features, params)
+    hs_ax, _ = full_forward(g_norm, ds.features, params, agg=ax)
+    for a, b in zip(hs_full, hs_ax):
+        assert np.array_equal(a, b)
+    for ids in ([0], [1, 2]):
+        batch = make_batch(g_norm, part, ids)
+        outs = []
+        for agg in (None, ax):
+            table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
+            table.push(1, np.arange(ds.graph.num_nodes), hs_full[0], step=0)
+            hs, cache, _ = batch_forward_with_history(
+                batch, ds.features, params, table, push=True, step=1, ax=agg)
+            outs.append(hs + cache.aggs + [table.layers[1]])
+        for a, b in zip(*outs):
+            assert np.array_equal(a, b)
+
+
+def test_ax_refuses_dropout():
+    ds = small_dataset(seed=7)
+    g_norm = normalize_adjacency(ds.graph)
+    part = partition_graph(ds.graph, 4, seed=3)
+    dims = [ds.num_features, 5, ds.num_classes]
+    with pytest.raises(ValueError):
+        batch_forward_with_history(make_batch(g_norm, part, [0]), ds.features,
+                                   init_params(dims, seed=1),
+                                   HistoryTable(ds.graph.num_nodes, dims[1:-1]),
+                                   push=False, step=0, ax=g_norm.matmul(ds.features),
+                                   drop=(0.5, np.random.default_rng(0)))
 
 
 # ------------------------------------------------------------------ steps ---
@@ -364,10 +424,60 @@ def test_full_mode_probe_skips_oracle_forward(monkeypatch):
     calls = []
     real = trainer.full_forward
     monkeypatch.setattr(trainer, "full_forward",
-                        lambda *a: calls.append(1) or real(*a))
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
     run_training(TrainConfig(mode="full", epochs=3, hidden=4, seed=1,
                              probe_every=1), ds, part)
     assert len(calls) == 3  # one evaluate per step, none for the probe
+
+
+def count_whole_graph_forwards(monkeypatch, n):
+    """Patch the trainer's forwards; returns the list each whole-graph
+    forward appends its kind to."""
+    calls = []
+    real_full, real_batch = trainer.full_forward, trainer.batch_forward_with_history
+
+    def full(*a, **kw):
+        calls.append("full_forward")
+        return real_full(*a, **kw)
+
+    def batch(b, *a, **kw):
+        if len(b.in_batch) == n:
+            calls.append("batch")
+        return real_batch(b, *a, **kw)
+
+    monkeypatch.setattr(trainer, "full_forward", full)
+    monkeypatch.setattr(trainer, "batch_forward_with_history", batch)
+    return calls
+
+
+def test_full_mode_shares_evaluate_forward_with_next_step(monkeypatch):
+    ds = small_dataset(seed=19)
+    part = partition_graph(ds.graph, 4, seed=2)
+    calls = count_whole_graph_forwards(monkeypatch, ds.graph.num_nodes)
+    run_training(TrainConfig(mode="full", epochs=5, hidden=4, seed=1), ds, part)
+    # step 0's gradient forward, then one evaluate per step whose forward is
+    # also the next step's gradient forward: E + 1, not 2E
+    assert calls == ["batch"] + ["full_forward"] * 5
+    calls.clear()
+    run_training(TrainConfig(mode="full", epochs=5, hidden=4, seed=1, dropout=0.3),
+                 ds, part)
+    # a dropped-out gradient forward is not evaluate's forward
+    assert calls == ["batch", "full_forward"] * 5
+
+
+def test_probe_reuses_evaluate_forward(monkeypatch):
+    ds = small_dataset(seed=19)
+    part = partition_graph(ds.graph, 4, seed=2)
+    calls = count_whole_graph_forwards(monkeypatch, ds.graph.num_nodes)
+    for dropout in (0.0, 0.3):
+        calls.clear()
+        records, _ = run_training(TrainConfig(mode="rest", epochs=2, hidden=4, seed=1,
+                                              probe_every=1, dropout=dropout), ds, part)
+        # the probe opening step 0 runs the only forward evaluate did not:
+        # S + 1 oracle forwards over S steps, not 2S
+        assert len(records) == 8
+        assert calls == ["full_forward"] * 9
+        assert all(not np.isnan(r.apx_err).any() for r in records)
 
 
 def test_full_mode_has_no_staleness():
