@@ -79,6 +79,23 @@ def export_metrics(series: list[MetricsRecord], path: str) -> None:
             f.write(format_record(r) + "\n")
 
 
+# rows per float64 difference block in approximation_error
+APX_BLOCK_ROWS = 4096
+
+
+def _mean_row_distance(stored: np.ndarray, fresh: np.ndarray, rows: np.ndarray
+                       ) -> float:
+    """Mean L2 distance between stored[rows] and fresh[rows], one block of
+    rows at a time, so no float64 copy of every row is built. A row's norm
+    does not depend on its block, so the mean is the one-block value."""
+    norms = np.empty(len(rows))
+    for start in range(0, len(rows), APX_BLOCK_ROWS):
+        r = rows[start:start + APX_BLOCK_ROWS]
+        diff = stored[r].astype(np.float64) - fresh[r]
+        norms[start:start + len(r)] = np.linalg.norm(diff, axis=1)
+    return float(norms.mean())
+
+
 def approximation_error(source, oracle) -> list[float] | float:
     """Mean per-node embedding distance from a fresh whole-graph forward.
 
@@ -90,12 +107,9 @@ def approximation_error(source, oracle) -> list[float] | float:
     if isinstance(source, HistoryTable):
         out = []
         for li in range(source.num_layers):
-            warm = source.last_update[:, li] != -1
-            if not warm.any():
-                out.append(0.0)
-                continue
-            diff = source.layers[li][warm].astype(np.float64) - oracle[li][warm]
-            out.append(float(np.linalg.norm(diff, axis=1).mean()))
+            warm = np.flatnonzero(source.last_update[:, li] != -1)
+            out.append(_mean_row_distance(source.layers[li], oracle[li], warm)
+                       if len(warm) else 0.0)
         return out
     diff = np.asarray(source, dtype=np.float64) - np.asarray(oracle, dtype=np.float64)
     if diff.shape[0] == 0:

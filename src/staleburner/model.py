@@ -7,7 +7,10 @@ only the history storage (float32) rounds.
 
 The backward pass differentiates exactly the computation the forward ran:
 input rows beyond the in-batch targets (halo rows filled from memory) are
-constants and receive no gradient.
+constants and receive no gradient. It masks each hidden layer on its output,
+h > 0, which for h = max(z, 0) is the same mask as z > 0 element for element
+(-0.0 and NaN included), so a forward keeps one array per hidden layer and
+applies bias and ReLU in place.
 """
 
 from __future__ import annotations
@@ -59,7 +62,9 @@ def init_params(dims: list[int], seed: int) -> GcnParams:
 @dataclass
 class LayerCache:
     """Forward intermediates needed by backward: the aggregated inputs, the
-    pre-activations, and the adjacency that produced them."""
+    layer outputs (whose signs give the ReLU mask), and the adjacency that
+    produced them. `zs` holds the pre-activations only when the forward was
+    asked to keep them; backward never reads it."""
 
     adj: NormAdj
     num_in_batch: int
@@ -69,23 +74,35 @@ class LayerCache:
 
 
 def layer_apply(adj: NormAdj, inputs: np.ndarray | None, w: np.ndarray,
-                b: np.ndarray, last: bool, agg: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                b: np.ndarray, last: bool, agg: np.ndarray | None = None,
+                keep_z: bool = False
+                ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """One propagation layer; returns (agg, pre-activation, output). A given
-    `agg` is adj @ inputs already computed, and inputs are then unused."""
+    `agg` is adj @ inputs already computed, and inputs are then unused.
+
+    The bias and a hidden layer's ReLU are applied in place in the product's
+    array, so the pre-activation is returned as None unless `keep_z` asks
+    for it (at the cost of a second array); on the last layer it is the
+    output."""
     if agg is None:
         agg = adj.matmul(inputs)
-    z = agg @ w + b
-    h = z if last else np.maximum(z, 0.0)
-    return agg, z, h
+    z = agg @ w
+    z += b
+    if last:
+        return agg, z, z
+    if keep_z:
+        return agg, z, np.maximum(z, 0.0)
+    return agg, None, np.maximum(z, 0.0, out=z)
 
 
 def full_forward(adj: NormAdj, features: np.ndarray, params: GcnParams,
-                 agg: np.ndarray | None = None
+                 agg: np.ndarray | None = None, keep_z: bool = True
                  ) -> tuple[list[np.ndarray], LayerCache]:
     """Whole-graph forward at current parameters; the reference against which
     memory-filled runs are measured. `agg`, when given, is adj @ features
-    (parameter-free) and stands in for layer 1's aggregation."""
+    (parameter-free) and stands in for layer 1's aggregation. With
+    keep_z=False the cache holds no pre-activations, one n x d array less
+    per hidden layer; backward does not need them."""
     n = adj.num_rows
     if features.shape[0] != n:
         raise ValueError("feature rows != graph size")
@@ -94,9 +111,10 @@ def full_forward(adj: NormAdj, features: np.ndarray, params: GcnParams,
     for l in range(params.num_layers):
         a, z, h = layer_apply(adj, h, params.weights[l], params.biases[l],
                               last=(l == params.num_layers - 1),
-                              agg=agg if l == 0 else None)
+                              agg=agg if l == 0 else None, keep_z=keep_z)
         cache.aggs.append(a)
-        cache.zs.append(z)
+        if keep_z:
+            cache.zs.append(z)
         cache.hs.append(h)
     if not np.all(np.isfinite(cache.hs[-1])):
         raise FloatingPointError("non-finite output in forward pass")
@@ -113,15 +131,18 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
     count = int(np.count_nonzero(mask))
     if count == 0:
         raise ValueError("empty mask")
-    z = logits[mask]
+    # the masked copy is the only work array: shifted logits, then their
+    # exponentials, then the gradient rows
+    d = logits[mask]
     y = labels[mask]
-    z = z - z.max(axis=1, keepdims=True)
-    expz = np.exp(z)
-    denom = expz.sum(axis=1)
-    logp = z[np.arange(len(y)), y] - np.log(denom)
-    loss = float(-logp.mean())
-    d = expz / denom[:, None]
-    d[np.arange(len(y)), y] -= 1.0
+    rows = np.arange(len(y))
+    d -= d.max(axis=1, keepdims=True)
+    z_y = d[rows, y]
+    np.exp(d, out=d)
+    denom = d.sum(axis=1)
+    loss = float(-(z_y - np.log(denom)).mean())
+    d /= denom[:, None]
+    d[rows, y] -= 1.0
     d /= count
     dlogits = np.zeros_like(logits)
     dlogits[mask] = d
@@ -142,10 +163,10 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
     the loss gradient with respect to the in-batch rows of H^(l).
     """
     L = params.num_layers
-    if len(cache.zs) != L:
+    if len(cache.hs) != L:
         raise ValueError("cache does not match parameter depth")
-    if d_out.shape != cache.zs[-1].shape:
-        raise ValueError(f"d_out shape {d_out.shape} != logits {cache.zs[-1].shape}")
+    if d_out.shape != cache.hs[-1].shape:
+        raise ValueError(f"d_out shape {d_out.shape} != logits {cache.hs[-1].shape}")
     nb = cache.num_in_batch
     dw = [np.zeros_like(w) for w in params.weights]
     db = [np.zeros_like(b) for b in params.biases]
@@ -153,7 +174,7 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
     dh = d_out
     for l in range(L - 1, -1, -1):
         d_hidden[l] = dh
-        dz = dh if l == L - 1 else dh * (cache.zs[l] > 0.0)
+        dz = dh if l == L - 1 else dh * (cache.hs[l] > 0.0)
         dw[l] = cache.aggs[l].T @ dz
         db[l] = dz.sum(axis=0)
         if l == 0:

@@ -35,7 +35,7 @@ import numpy as np
 from .graph import Dataset, NormAdj, normalize_adjacency
 from .history import HistoryTable, LayerPersistence, persistence_stats
 from .metrics import MetricsRecord, approximation_error
-from .model import (Adam, GcnParams, LayerCache, accuracy, backward,
+from .model import (Adam, GcnParams, LayerCache, backward,
                     full_forward, init_params, layer_apply, loss_and_grad)
 from .partition import (MiniBatch, Partition, ScheduleStep, make_batch,
                         make_batch_from_nodes, schedule_epoch)
@@ -138,12 +138,11 @@ def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
             rate, gen = drop
             keep = gen.random(inputs.shape) >= rate
             inputs = inputs * keep / (1.0 - rate)
-        agg, z, h = layer_apply(batch.local_adj, inputs, params.weights[l],
+        agg, _, h = layer_apply(batch.local_adj, inputs, params.weights[l],
                                 params.biases[l], last=(l == L - 1),
                                 agg=ax[batch.in_batch] if l == 0 and ax is not None
                                 else None)
         cache.aggs.append(agg)
-        cache.zs.append(z)
         cache.hs.append(h)
         if l < L - 1:
             if push:
@@ -243,14 +242,19 @@ def evaluate(g_norm: NormAdj, ds: Dataset, params: GcnParams,
              ) -> tuple[float, float, float]:
     """Whole-graph accuracies at current parameters; no staleness in the
     reported numbers regardless of training mode. `forward` returns the
-    whole-graph forward at `params` when the caller keeps one to share."""
+    whole-graph forward at `params` when the caller keeps one to share.
+    One argmax over every row serves all three masks; each equals
+    `accuracy` on its mask."""
     if forward is None:
-        hs, _ = full_forward(g_norm, ds.features, params)
+        hs, _ = full_forward(g_norm, ds.features, params, keep_z=False)
     else:
         hs = forward().hs
-    return (accuracy(hs[-1], ds.labels, ds.train_mask),
-            accuracy(hs[-1], ds.labels, ds.val_mask),
-            accuracy(hs[-1], ds.labels, ds.test_mask))
+    hit = hs[-1].argmax(axis=1) == ds.labels
+    accs = []
+    for mask in (ds.train_mask, ds.val_mask, ds.test_mask):
+        count = int(np.count_nonzero(mask))
+        accs.append(float(np.count_nonzero(hit[mask])) / count if count else 0.0)
+    return tuple(accs)
 
 
 def _probe_apx_errors(ds: Dataset, state: TrainState,
@@ -366,7 +370,8 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
         and the backward intermediates are kept only for a gradient step."""
         if state.model_step not in held:
             held.clear()
-            hs, cache = full_forward(g_norm, ds.features, state.params, agg=ax)
+            hs, cache = full_forward(g_norm, ds.features, state.params, agg=ax,
+                                     keep_z=False)
             held[state.model_step] = (cache if share_grad_forward
                                       else LayerCache(adj=g_norm, num_in_batch=n, hs=hs))
         return held[state.model_step]

@@ -1,6 +1,8 @@
 """Golden records: the sha256 of every `format_record` line and of the final
 parameter bytes for a small grid of runs, pinned to values recorded before
-`run_training` shared its whole-graph forward and cached Â·X.
+`run_training` shared its whole-graph forward and cached Â·X. The two
+3-layer `full` cases were recorded before forwards applied bias and ReLU in
+place and backward masked on layer outputs.
 
 Performance work on the training loop must keep both digests byte for byte.
 Regenerate `golden_records.json` only for a change that is meant to move the
@@ -34,6 +36,10 @@ def cases() -> dict[str, tuple[int, dict]]:
             parts, dict(mode=mode, dropout=dropout, probe_every=probe))
     out["rest-3layer-cpb2"] = (4, dict(mode="rest", num_layers=3,
                                        clusters_per_batch=2, probe_every=1))
+    # full mode's shared whole-graph forward through two masked hidden layers
+    for dropout in (0.0, 0.3):
+        out[f"full-3layer-drop{dropout}"] = (4, dict(mode="full", num_layers=3,
+                                                    dropout=dropout))
     return out
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from staleburner import metrics
 from staleburner.boundcheck import bound_check_instance, run_bound_check
 from staleburner.graph import normalize_adjacency, sbm_generate
 from staleburner.history import HistoryTable
@@ -76,6 +77,27 @@ def test_approximation_error_fresh_table_is_zero():
     table.push(1, np.arange(ds.graph.num_nodes), hs[0], step=0)
     errs = approximation_error(table, hs)
     assert errs[0] <= 1e-6  # float32 storage rounding only
+
+
+def test_approximation_error_blocks_match_one_pass(monkeypatch):
+    ds = sbm_generate(3, 10, 0.4, 0.05, seed=13)
+    adj = normalize_adjacency(ds.graph)
+    dims = [ds.num_features, 6, 5, ds.num_classes]
+    hs, _ = full_forward(adj, ds.features, init_params(dims, seed=14))
+    stale, _ = full_forward(adj, ds.features, init_params(dims, seed=15))
+    table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
+    warm = np.flatnonzero(np.arange(30) % 3 != 1)  # 20 of 30 rows, gaps between
+    table.push(1, warm, stale[0][warm], step=0)
+    table.push(2, warm[:4], stale[1][warm[:4]], step=0)
+    # the whole-table formula the blocked pass replaces
+    want = []
+    for li in range(2):
+        rows = table.last_update[:, li] != -1
+        diff = table.layers[li][rows].astype(np.float64) - hs[li][rows]
+        want.append(float(np.linalg.norm(diff, axis=1).mean()))
+    monkeypatch.setattr(metrics, "APX_BLOCK_ROWS", 3)
+    assert approximation_error(table, hs) == want
+    assert all(e > 0.0 for e in want)
 
 
 def test_approximation_error_grows_after_update():

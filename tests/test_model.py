@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from staleburner.graph import csr_from_edges, normalize_adjacency, sbm_generate
 from staleburner.model import (Adam, GcnParams, Grads, accuracy, backward,
-                               full_forward, init_params, loss_and_grad)
+                               full_forward, init_params, layer_apply, loss_and_grad)
 
 from conftest import (dense_forward, dense_norm_adj, fd_param_grads,
                       max_rel_err, path_graph)
@@ -143,6 +145,115 @@ def test_backward_matches_finite_differences(num_layers):
     analytic = grads.weights + grads.biases
     for a, f in zip(analytic, fd):
         assert max_rel_err(a, f) <= 1e-4
+
+
+def reference_loss_and_grad(logits, labels, mask):
+    """The out-of-place formula loss_and_grad computed before it worked in
+    its masked copy."""
+    count = int(np.count_nonzero(mask))
+    z = logits[mask]
+    y = labels[mask]
+    z = z - z.max(axis=1, keepdims=True)
+    expz = np.exp(z)
+    denom = expz.sum(axis=1)
+    logp = z[np.arange(len(y)), y] - np.log(denom)
+    loss = float(-logp.mean())
+    d = expz / denom[:, None]
+    d[np.arange(len(y)), y] -= 1.0
+    d /= count
+    dlogits = np.zeros_like(logits)
+    dlogits[mask] = d
+    return loss, dlogits
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_loss_matches_out_of_place_reference_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=10.0, size=(200, 7))
+    logits[3, 2] = 1e6  # saturated row
+    logits[5] = 0.0     # uniform row
+    labels = rng.integers(0, 7, size=200)
+    mask = rng.random(200) < 0.4
+    mask[[3, 5]] = True
+    before = logits.copy()
+    loss, dlogits = loss_and_grad(logits, labels, mask)
+    ref_loss, ref_dlogits = reference_loss_and_grad(logits, labels, mask)
+    assert loss == ref_loss
+    assert dlogits.tobytes() == ref_dlogits.tobytes()
+    assert logits.tobytes() == before.tobytes()  # the input is not written
+
+
+def zero_kink_instance():
+    """(dataset, adjacency, 3-layer params) whose hidden layers each have
+    two columns of exact-zero pre-activations: zero weight columns with a
+    +0.0 and a -0.0 bias. The other columns mix signs."""
+    ds = sbm_generate(3, 8, 0.5, 0.1, d_in=4, seed=21)
+    adj = normalize_adjacency(ds.graph)
+    params = init_params([4, 6, 5, ds.num_classes], seed=22)
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        w[:, :2] = 0.0
+        b[:] = np.linspace(-0.2, 0.2, len(b))
+        b[0], b[1] = 0.0, -0.0
+    return ds, adj, params
+
+
+def test_backward_without_pre_activations_is_bitwise_identical():
+    ds, adj, params = zero_kink_instance()
+    hs_kept, kept = full_forward(adj, ds.features, params, keep_z=True)
+    hs_lean, lean = full_forward(adj, ds.features, params, keep_z=False)
+    assert lean.zs == []
+    for z in kept.zs[:-1]:
+        assert np.all(z[:, :2] == 0.0)  # the kink itself, masked off
+        assert (z > 0).any() and (z < 0).any()
+    for a, b in zip(hs_kept, hs_lean):
+        assert a.tobytes() == b.tobytes()
+    _, dlogits = loss_and_grad(hs_kept[-1], ds.labels, ds.train_mask)
+    g_kept, d_kept = backward(kept, dlogits, params)
+    g_lean, d_lean = backward(lean, dlogits, params)
+    for a, b in zip(g_kept.weights + g_kept.biases + d_kept,
+                    g_lean.weights + g_lean.biases + d_lean):
+        assert a.tobytes() == b.tobytes()
+    # a dead column gets no gradient, whichever the sign of its zero bias
+    assert np.all(g_lean.biases[0][:2] == 0.0)
+
+
+def test_output_mask_equals_pre_activation_mask():
+    # backward masks on h = max(z, 0) > 0; a whole-graph forward cannot
+    # carry -0.0 or NaN pre-activations into backward (products of zero
+    # weight columns are +0.0, and NaN fails the finiteness check), so the
+    # identity is checked on the values themselves
+    z = np.array([-0.0, 0.0, np.nan, -np.inf, np.inf, 5e-324, -5e-324, 1.5, -1.5])
+    h = z.copy()
+    np.maximum(h, 0.0, out=h)
+    assert np.array_equal(h > 0.0, z > 0.0)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_without_pre_activations_peaks_lower():
+    ds = sbm_generate(4, 500, 0.01, 0.001, d_in=8, seed=23)
+    adj = normalize_adjacency(ds.graph)
+    hidden = 64
+    params = init_params([ds.num_features, hidden, ds.num_classes], seed=24)
+    full_forward(adj, ds.features, params)  # lazy set-up out of the measurement
+    one_layer = ds.graph.num_nodes * hidden * 8
+    kept = traced_peak(lambda: full_forward(adj, ds.features, params, keep_z=True))
+    lean = traced_peak(lambda: full_forward(adj, ds.features, params, keep_z=False))
+    assert kept - lean >= one_layer
+    # a hidden layer allocates its output and nothing else of that size:
+    # bias and ReLU run in the product's array
+    agg = adj.matmul(ds.features.astype(np.float64))
+    peak = traced_peak(lambda: layer_apply(adj, None, params.weights[0],
+                                           params.biases[0], last=False, agg=agg))
+    assert peak < 2 * one_layer
 
 
 def test_adam_zero_grad_is_identity():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import logging
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 from staleburner import trainer
 from staleburner.graph import normalize_adjacency, sbm_generate
 from staleburner.history import HistoryTable, persistence_stats
-from staleburner.model import Adam, backward, full_forward, init_params, loss_and_grad
+from staleburner.model import (Adam, accuracy, backward, full_forward, init_params,
+                               loss_and_grad)
 from staleburner.partition import (MiniBatch, Partition, make_batch,
                                    make_batch_from_nodes, partition_graph)
 from staleburner.trainer import (TrainConfig, TrainState,
-                                 batch_forward_with_history,
+                                 batch_forward_with_history, evaluate,
                                  rest_is_refresh_selection, rest_refresh_pass,
                                  run_training, train_step_gas)
 from staleburner.rng import Rng, derive_seed
@@ -185,6 +187,20 @@ def test_ax_refuses_dropout():
                                    HistoryTable(ds.graph.num_nodes, dims[1:-1]),
                                    push=False, step=0, ax=g_norm.matmul(ds.features),
                                    drop=(0.5, np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("empty", ["none", "train", "test"])
+def test_evaluate_equals_accuracy_per_mask(empty):
+    ds = small_dataset(seed=7)
+    if empty != "none":
+        ds = dataclasses.replace(ds, **{f"{empty}_mask": np.zeros(40, dtype=bool)})
+    g_norm = normalize_adjacency(ds.graph)
+    params = init_params([ds.num_features, 5, ds.num_classes], seed=8)
+    hs, _ = full_forward(g_norm, ds.features, params)
+    want = tuple(accuracy(hs[-1], ds.labels, m)
+                 for m in (ds.train_mask, ds.val_mask, ds.test_mask))
+    assert evaluate(g_norm, ds, params) == want
+    assert 0.0 < sum(want) and (empty == "none" or 0.0 in want)
 
 
 # ------------------------------------------------------------------ steps ---
