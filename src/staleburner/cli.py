@@ -39,13 +39,21 @@ from .partition import partition_graph
 from .rng import derive_seed
 from .trainer import TrainConfig, evaluate, load_checkpoint, run_training
 
+def _flag(text: str) -> int:
+    """A 0|1 value; any other integer is rejected, not read as true."""
+    value = int(text)
+    if value not in (0, 1):
+        raise ValueError(f"{text!r} is not 0 or 1")
+    return value
+
+
 _CONFIG_KEYS = {
     "dataset": str, "parts": int, "mode": str, "F": int, "c": int,
     "refresh_mode": str, "sampler": str, "epochs": int, "seed": int,
     "lr": float, "weight_decay": float, "beta1": float, "beta2": float,
     "adam_eps": float, "hidden": int, "layers": int, "dropout": float,
-    "warmup_refresh": int, "probe_every": int, "timing": int,
-    "parallel_refresh": int,
+    "warmup_refresh": _flag, "probe_every": int, "timing": _flag,
+    "parallel_refresh": _flag,
 }
 
 

@@ -8,13 +8,17 @@ Operator products, and transposes of the symmetric operator, run through
 one row kernel, scipy's CSR multi-vector product, writing straight into one
 output the caller allocates. A product whose work nnz * width reaches
 SPLIT_WORK, on a process that may run on more than one CPU, is cut into
-BLOCKS_PER_CPU row blocks of about equal nnz per CPU. Helper threads, one
-fewer than the CPUs and started on the first such product, take blocks from
-the front; the calling thread runs the first block, then takes back, last
-first, every block no helper has started. Each output row is summed in CSR
-order whichever thread runs its block, so the result is bit-identical to
-the unsplit product. Helper threads run only the scipy kernel, never code
-of this package.
+BLOCKS_PER_CPU row blocks of about equal nnz per CPU. Each output row is
+summed in CSR order whichever thread runs its block, so the result is
+bit-identical to the unsplit product.
+
+Blocks run through one block runner, `run_blocks`, which the dense side of
+a whole-graph step (model.py) shares. Helper threads, one fewer than the
+CPUs and started on the first split job, take blocks from the front; the
+calling thread runs the first block, then takes back, last first, every
+block no helper has started. Helpers run only the kernel a job hands the
+runner: scipy's CSR product or one of model.py's block kernels, which call
+numpy only.
 """
 
 from __future__ import annotations
@@ -32,16 +36,18 @@ from scipy.sparse._sparsetools import csr_matvecs
 
 from .rng import Rng, derive_seed
 
-# nnz * width at which a sparse product is split into row blocks. On a
-# 2-core VM, splitting a 2k-node whole-graph product (1.6M) saved 0.15 ms,
-# less than waking a helper thread takes one time in ten (0.7-0.9 ms);
-# 20k-node products (8.2M, 16.5M) saved 2.5 and 5 ms.
+# nnz * width at which a sparse product is split into row blocks, and the
+# least work of every block of a split dense job (even_blocks). On a 2-core
+# VM, splitting a 2k-node whole-graph product (1.6M) saved 0.15 ms, less
+# than waking a helper thread takes one time in ten (0.7-0.9 ms); 20k-node
+# products (8.2M, 16.5M) saved 2.5 and 5 ms. A dgemm block of this work
+# takes about 0.45 ms.
 SPLIT_WORK = 1 << 22
 # More blocks than CPUs, so that a helper whose CPU is busy elsewhere delays
 # a product by at most the block it has started, not by a share of the rows.
 BLOCKS_PER_CPU = 4
 
-_helpers: ThreadPoolExecutor | None = None  # started by the first split product
+_helpers: ThreadPoolExecutor | None = None  # started by the first split job
 _helpers_lock = threading.Lock()
 
 
@@ -221,16 +227,9 @@ class NormAdj:
         bounds = (self.row_bounds if len(self.values) * d >= SPLIT_WORK
                   else [0, self.num_rows])
         flat_x = x.ravel()
-        blocks = [(r1 - r0, self.num_cols, d, csr.indptr[r0:r1 + 1], csr.indices,
-                   csr.data, flat_x, out[r0:r1].ravel())
-                  for r0, r1 in zip(bounds[:-1], bounds[1:])]
-        pending = [(_helper_pool().submit(csr_matvecs, *b), b) for b in blocks[1:]]
-        csr_matvecs(*blocks[0])
-        for job, block in reversed(pending):
-            if job.cancel():  # no helper has started it
-                csr_matvecs(*block)
-            else:
-                job.result()
+        run_blocks(csr_matvecs, [(r1 - r0, self.num_cols, d, csr.indptr[r0:r1 + 1],
+                                  csr.indices, csr.data, flat_x, out[r0:r1].ravel())
+                                 for r0, r1 in zip(bounds[:-1], bounds[1:])])
         return out
 
     def row_norms(self) -> np.ndarray:
@@ -250,7 +249,8 @@ def _cpus() -> int:
 
 
 def _helper_pool() -> ThreadPoolExecutor:
-    """The helper threads, one fewer than the CPUs, started on first use."""
+    """The helper threads, one fewer than the CPUs, started by the first
+    split job."""
     global _helpers
     with _helpers_lock:
         if _helpers is None:
@@ -268,6 +268,41 @@ def _forget_helpers() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def run_blocks(kernel, blocks: list[tuple]) -> None:
+    """Call kernel(*args) once for every args in `blocks`, which must write
+    disjoint outputs. The caller runs the first block; helpers take the
+    others from the front, and the caller takes back, last first, every
+    block no helper has started. With one block no thread is involved."""
+    pending = [(_helper_pool().submit(kernel, *b), b) for b in blocks[1:]]
+    kernel(*blocks[0])
+    for job, block in reversed(pending):
+        if job.cancel():  # no helper has started it
+            kernel(*block)
+        else:
+            job.result()
+
+
+def even_blocks(size: int, unit_work: int) -> list[int]:
+    """Bounds cutting the `size` rows of a dense job, each carrying
+    `unit_work` multiply-adds or their equivalent, into equal blocks: up to
+    BLOCKS_PER_CPU per CPU, each of at least two rows and SPLIT_WORK work;
+    one block otherwise.
+
+    The floor keeps every split product on the kernel the whole product
+    runs on. OpenBLAS computes a dgemm of M*N*K up to about 1e6 with its
+    small-matrix kernel and numpy a one-row product as a matrix-vector one;
+    either sums in another order than a large dgemm, so a block of 500 rows,
+    or of one, of a 20000 x 64 @ 64 x 20 product differed in its last bits.
+    Blocks of SPLIT_WORK and two rows equalled the unsplit product for every
+    shape of the benchmark's workloads, at every offset tried."""
+    if size * unit_work < 2 * SPLIT_WORK:  # batch-sized: no CPU count needed
+        return [0, size]
+    cpus = _cpus()
+    least = max(2, -(-SPLIT_WORK // max(unit_work, 1)))
+    parts = max(1, min(BLOCKS_PER_CPU * cpus if cpus > 1 else 1, size // least))
+    return [size * i // parts for i in range(parts + 1)]
 
 
 def row_blocks(row_ptr: np.ndarray, parts: int) -> list[int]:

@@ -36,12 +36,12 @@ class HistoryTable:
         return layer - 1
 
     def pull(self, layer: int, ids: np.ndarray) -> tuple[np.ndarray, int]:
-        """Copy of the stored rows plus the count of never-pushed ones
-        (which read back as the zero initialization)."""
+        """Copy of the stored rows (the gather copies) plus the count of
+        never-pushed ones (which read back as the zero initialization)."""
         li = self._check_layer(layer)
         ids = np.asarray(ids, dtype=np.int64)
         cold = int(np.count_nonzero(self.last_update[ids, li] == NEVER))
-        return self.layers[li][ids].copy(), cold
+        return self.layers[li][ids], cold
 
     def push(self, layer: int, ids: np.ndarray, values: np.ndarray, step: int) -> None:
         li = self._check_layer(layer)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import NormAdj, spectral_norm_upper
-from .history import HistoryTable
+from .history import NEVER, HistoryTable
 from .model import GcnParams
 
 
@@ -107,7 +107,7 @@ def approximation_error(source, oracle) -> list[float] | float:
     if isinstance(source, HistoryTable):
         out = []
         for li in range(source.num_layers):
-            warm = np.flatnonzero(source.last_update[:, li] != -1)
+            warm = np.flatnonzero(source.last_update[:, li] != NEVER)
             out.append(_mean_row_distance(source.layers[li], oracle[li], warm)
                        if len(warm) else 0.0)
         return out

@@ -11,6 +11,19 @@ constants and receive no gradient. It masks each hidden layer on its output,
 h > 0, which for h = max(z, 0) is the same mask as z > 0 element for element
 (-0.0 and NaN included), so a forward keeps one array per hidden layer and
 applies bias and ReLU in place.
+
+Whole-graph dense work runs on graph.run_blocks, the block runner of the
+sparse kernel, when graph.even_blocks splits it: a layer's transform, bias
+and ReLU and the per-row terms of the loss by row block; backward's output
+mask and dz @ W.T by row block. Each block kernel below calls numpy only
+and writes its own rows of one output, and every block gives the bits of
+the unsplit computation. Batch-sized work stays below the split floor.
+
+The weight gradient agg.T @ dz stays whole. Its sums run over every row of
+the graph, and a multi-threaded OpenBLAS orders them by the shape and its
+thread count: 50000 x 64 by 20 columns gave other bits with two BLAS
+threads than with one, and blocks of fewer than 17 of agg's columns other
+bits than the whole product with two.
 """
 
 from __future__ import annotations
@@ -20,8 +33,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import NormAdj
+from .graph import NormAdj, even_blocks, run_blocks
 from .rng import Rng
+
+# The work of one element of an elementwise pass, in the multiply-adds
+# SPLIT_WORK counts: on a 2-core AVX-512 VM (OpenBLAS, one thread) the
+# softmax, log and gradient terms of a logit took 14.8 ns, masking one
+# element of a gradient 3.5 ns, a multiply-add of a layer dgemm 0.11 ns.
+LOGIT_WORK = 128
+MASK_WORK = 32
 
 
 @dataclass
@@ -86,13 +106,24 @@ def layer_apply(adj: NormAdj, inputs: np.ndarray | None, w: np.ndarray,
     output."""
     if agg is None:
         agg = adj.matmul(inputs)
-    z = agg @ w
-    z += b
+    z = np.empty((agg.shape[0], w.shape[1]))
+    h = None if last else np.empty_like(z) if keep_z else z
+    bounds = even_blocks(len(z), w.size)
+    run_blocks(_affine_rows, [(agg[r0:r1], w, b, z[r0:r1], None if h is None else h[r0:r1])
+                              for r0, r1 in zip(bounds[:-1], bounds[1:])])
     if last:
         return agg, z, z
-    if keep_z:
-        return agg, z, np.maximum(z, 0.0)
-    return agg, None, np.maximum(z, 0.0, out=z)
+    return agg, z if keep_z else None, h
+
+
+def _affine_rows(agg: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray,
+                 h: np.ndarray | None) -> None:
+    """Block kernel: z = agg @ w + b, and h = max(z, 0) unless h is None
+    (h may be z itself)."""
+    np.matmul(agg, w, out=z)
+    z += b
+    if h is not None:
+        np.maximum(z, 0.0, out=h)
 
 
 def full_forward(adj: NormAdj, features: np.ndarray, params: GcnParams,
@@ -131,22 +162,37 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
     count = int(np.count_nonzero(mask))
     if count == 0:
         raise ValueError("empty mask")
-    # the masked copy is the only work array: shifted logits, then their
-    # exponentials, then the gradient rows
-    d = logits[mask]
-    y = labels[mask]
-    rows = np.arange(len(y))
+    ids = np.flatnonzero(mask)
+    # the only work array: the masked rows, shifted, then their exponentials,
+    # then the gradient rows. Allocated here rather than per block in the
+    # threads that run them, whose own heaps would keep the freed blocks
+    # resident into backward, where a step peaks.
+    work = np.empty((count, logits.shape[1]))
+    dlogits = np.zeros_like(logits)
+    terms = np.empty(count)  # log-likelihood of each masked row
+    bounds = even_blocks(count, LOGIT_WORK * logits.shape[1])
+    run_blocks(_softmax_rows, [(logits, labels, ids[a:b], count, work[a:b], terms[a:b],
+                                dlogits) for a, b in zip(bounds[:-1], bounds[1:])])
+    return float(-terms.mean()), dlogits
+
+
+def _softmax_rows(logits: np.ndarray, labels: np.ndarray, ids: np.ndarray,
+                  count: int, d: np.ndarray, terms: np.ndarray,
+                  dlogits: np.ndarray) -> None:
+    """Block kernel: the log-likelihood terms and gradient rows of rows
+    `ids`, computed in d."""
+    np.take(logits, ids, axis=0, out=d, mode="clip")  # "raise" stages a copy of d
+    y = labels[ids]
+    rows = np.arange(len(ids))
     d -= d.max(axis=1, keepdims=True)
     z_y = d[rows, y]
     np.exp(d, out=d)
     denom = d.sum(axis=1)
-    loss = float(-(z_y - np.log(denom)).mean())
+    np.subtract(z_y, np.log(denom), out=terms)
     d /= denom[:, None]
     d[rows, y] -= 1.0
     d /= count
-    dlogits = np.zeros_like(logits)
-    dlogits[mask] = d
-    return loss, dlogits
+    dlogits[ids] = d
 
 
 @dataclass
@@ -172,16 +218,38 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
     db = [np.zeros_like(b) for b in params.biases]
     d_hidden: list[np.ndarray] = [None] * L
     dh = d_out
+    spare = None  # the nb x d_l input of the last transpose product, no longer read
     for l in range(L - 1, -1, -1):
         d_hidden[l] = dh
-        dz = dh if l == L - 1 else dh * (cache.hs[l] > 0.0)
+        w = params.weights[l]
+        # the last layer's gradient is d_out itself; a hidden layer's masked
+        # one overwrites `spare`
+        h, dz = (None, dh) if l == L - 1 else (cache.hs[l], spare)
+        p = np.empty((nb, w.shape[0])) if l > 0 else None
+        if L > 1:  # a mask, a product or both
+            bounds = even_blocks(nb, w.size if l > 0 else MASK_WORK * w.shape[1])
+            run_blocks(_backward_rows,
+                       [(dh[r0:r1], None if h is None else h[r0:r1], dz[r0:r1], w,
+                         None if p is None else p[r0:r1])
+                        for r0, r1 in zip(bounds[:-1], bounds[1:])])
         dw[l] = cache.aggs[l].T @ dz
         db[l] = dz.sum(axis=0)
         if l == 0:
             break
-        d_inputs = cache.adj.t_matmul(dz @ params.weights[l].T)
+        d_inputs = cache.adj.t_matmul(p)
         dh = d_inputs[:nb]  # halo rows were constants pulled from memory
+        spare = p
     return Grads(weights=dw, biases=db), d_hidden
+
+
+def _backward_rows(dh: np.ndarray, h: np.ndarray | None, dz: np.ndarray,
+                   w: np.ndarray, p: np.ndarray | None) -> None:
+    """Block kernel: dz = dh masked where h > 0 (h None: dz is dh already),
+    then p = dz @ w.T unless p is None."""
+    if h is not None:
+        np.multiply(dh, h > 0.0, out=dz)
+    if p is not None:
+        np.matmul(dz, w.T, out=p)
 
 
 class Adam:

@@ -150,7 +150,9 @@ def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
             if len(batch.halo):
                 halo_rows, cold = reads.pull(l + 1, batch.halo)
                 cold_total += cold
-                inputs = np.vstack([h, halo_rows.astype(np.float64)])
+                inputs = np.empty((nb + len(batch.halo), h.shape[1]))
+                inputs[:nb] = h
+                inputs[nb:] = halo_rows
             else:
                 inputs = h
     if not np.all(np.isfinite(h)):

@@ -193,3 +193,15 @@ def test_missing_data_dir_fails_cleanly(tmp_path, capsys):
     assert code == 1
     assert stderr.strip().startswith("error:")
     assert len(stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("key", ["warmup_refresh", "timing", "parallel_refresh"])
+def test_flags_accept_only_0_and_1(tmp_path, key):
+    path = tmp_path / "c.cfg"
+    for value, parsed in (("0", 0), ("1", 1), (" 1 ", 1)):
+        path.write_text(f"{key}={value}\n")
+        assert parse_config(str(path)) == {key: parsed}
+    for value in ("7", "-3", "2", "-1", "true", "1.0"):
+        path.write_text(f"mode=gas\n{key}={value}\n")
+        with pytest.raises(ConfigError, match=f"c.cfg:2: bad value '{value}' for {key}"):
+            parse_config(str(path))
