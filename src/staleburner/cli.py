@@ -9,19 +9,16 @@ Recognized keys:
     mode           full | gas | rest | rest_is
     F              refresh forwards per gradient step (rest, rest_is)
     c              clusters per batch
-    refresh_mode   same | half | full
-    sampler        round_robin | uniform
     epochs, seed
     lr, weight_decay, beta1, beta2, adam_eps
     hidden, layers, dropout
     warmup_refresh 0|1    one gradient-free whole-graph refresh before training
     probe_every    approximation-error probe cadence in steps (0 = off)
     timing         0|1    record real wall-clock ms (off keeps runs bit-reproducible)
-    parallel_refresh 0|1  refresh batches read the pre-pass table snapshot
-                   (the concurrent-refresh semantics; default is sequential)
 
-Unknown keys are rejected. The STALEBURNER_SEED environment variable, when
-set, overrides the config seed.
+Refresh batches run one after another, and every epoch repeats one
+round-robin plan. Unknown keys are rejected. The STALEBURNER_SEED
+environment variable, when set, overrides the config seed.
 """
 
 from __future__ import annotations
@@ -49,11 +46,10 @@ def _flag(text: str) -> int:
 
 _CONFIG_KEYS = {
     "dataset": str, "parts": int, "mode": str, "F": int, "c": int,
-    "refresh_mode": str, "sampler": str, "epochs": int, "seed": int,
-    "lr": float, "weight_decay": float, "beta1": float, "beta2": float,
-    "adam_eps": float, "hidden": int, "layers": int, "dropout": float,
+    "epochs": int, "seed": int, "lr": float, "weight_decay": float,
+    "beta1": float, "beta2": float, "adam_eps": float, "hidden": int,
+    "layers": int, "dropout": float,
     "warmup_refresh": _flag, "probe_every": int, "timing": _flag,
-    "parallel_refresh": _flag,
 }
 
 
@@ -121,8 +117,6 @@ def train_config_from(cfg: dict) -> TrainConfig:
         mode=cfg.get("mode", "rest"),
         refresh_per_step=cfg.get("F", 1),
         clusters_per_batch=cfg.get("c", 1),
-        refresh_mode=cfg.get("refresh_mode", "same"),
-        sampler=cfg.get("sampler", "round_robin"),
         epochs=cfg.get("epochs", 1),
         seed=cfg.get("seed", 0),
         lr=cfg.get("lr", 0.001),
@@ -136,7 +130,6 @@ def train_config_from(cfg: dict) -> TrainConfig:
         warmup_refresh=bool(cfg.get("warmup_refresh", 0)),
         probe_every=cfg.get("probe_every", 0),
         timing=bool(cfg.get("timing", 0)),
-        parallel_refresh=bool(cfg.get("parallel_refresh", 0)),
     )
     tc.validate()
     return tc
@@ -209,8 +202,6 @@ def _cmd_bound_check(args) -> int:
 def _cmd_ablate_f(args) -> int:
     cfg = parse_config(args.config)
     f_values = [int(x) for x in args.f_values.split(",")]
-    if not f_values:
-        raise ConfigError("--f-values must name at least one frequency")
     rows: list[str] = []
     header = None
     for f_val in f_values:

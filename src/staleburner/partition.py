@@ -18,9 +18,6 @@ import numpy as np
 from .graph import CsrGraph, NormAdj
 from .rng import Rng
 
-SAMPLERS = ("round_robin", "uniform", "importance")
-
-
 @dataclass(frozen=True)
 class Partition:
     num_parts: int
@@ -247,21 +244,17 @@ class ScheduleStep:
 
 
 def schedule_epoch(part: Partition, clusters_per_batch: int, refresh_per_step: int,
-                   sampler: str, seed: int, epoch: int = 0,
-                   refresh_mode: str = "same") -> list[ScheduleStep]:
-    """Plan one epoch of (refresh batches, gradient batch) groups.
+                   seed: int) -> list[ScheduleStep]:
+    """Plan the (refresh batches, gradient batch) groups of an epoch; every
+    epoch of a run repeats the same plan.
 
     A seeded permutation of cluster ids is chunked into batches of
     clusters_per_batch; chunk j is the gradient batch of step j, so every
     cluster takes a gradient step exactly once per epoch. Refresh slots reuse
     the same chunk cycle at evenly strided offsets, which spaces the pushes of
     any one cluster ceil(num_chunks / (refresh_per_step + 1)) steps apart --
-    the table-wide refresh gap the schedule is built to guarantee.
-
-    round_robin ignores `epoch` so the stride pattern holds across epoch
-    boundaries; uniform draws fresh refresh chunks per step from a
-    (seed, epoch) stream; importance carries gradient batches only, refresh
-    selection happening per step from the gradient batch's halo.
+    the table-wide refresh gap the schedule is built to guarantee, across
+    epoch boundaries too.
     """
     P = part.num_parts
     c = clusters_per_batch
@@ -270,38 +263,11 @@ def schedule_epoch(part: Partition, clusters_per_batch: int, refresh_per_step: i
         raise ValueError(f"clusters_per_batch must be in [1, {P}], got {c}")
     if F < 0:
         raise ValueError("refresh_per_step must be >= 0")
-    if sampler not in SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}")
-    if refresh_mode not in ("same", "half", "full"):
-        raise ValueError(f"unknown refresh_mode {refresh_mode!r}")
 
     perm = Rng(seed).permutation(P)
     nb = math.ceil(P / c)
     chunks = [tuple(perm[i * c:(i + 1) * c]) for i in range(nb)]
-
-    def widen(start: int) -> tuple[int, ...]:
-        # half/full refresh batches span more chunks, gradient batches never
-        if refresh_mode == "full":
-            return tuple(range(P))
-        span = math.ceil(nb / 2) if refresh_mode == "half" else 1
-        ids: list[int] = []
-        for k in range(span):
-            ids.extend(chunks[(start + k) % nb])
-        return tuple(dict.fromkeys(ids))
-
-    steps: list[ScheduleStep] = []
-    if sampler == "uniform":
-        draw = Rng(seed ^ (epoch + 1))
-        for j in range(nb):
-            picks = draw.sample(nb, min(F, nb))
-            refresh = tuple(widen(i) for i in picks)
-            steps.append(ScheduleStep(refresh=refresh, grad=chunks[j]))
-    elif sampler == "importance":
-        for j in range(nb):
-            steps.append(ScheduleStep(refresh=(), grad=chunks[j]))
-    else:
-        offsets = [((i + 1) * nb) // (F + 1) for i in range(F)]
-        for j in range(nb):
-            refresh = tuple(widen((j + o) % nb) for o in offsets)
-            steps.append(ScheduleStep(refresh=refresh, grad=chunks[j]))
-    return steps
+    offsets = [((i + 1) * nb) // (F + 1) for i in range(F)]
+    return [ScheduleStep(refresh=tuple(chunks[(j + o) % nb] for o in offsets),
+                         grad=chunks[j])
+            for j in range(nb)]

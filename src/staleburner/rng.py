@@ -156,9 +156,6 @@ class Rng:
         """Uniform float64 in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * _INV_2_53
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""
         if n <= 0:
@@ -179,24 +176,6 @@ class Rng:
         items = list(range(n))
         self.shuffle(items)
         return items
-
-    def sample(self, n: int, k: int) -> list[int]:
-        """k distinct integers from [0, n), order randomized."""
-        if k > n:
-            raise ValueError(f"cannot sample {k} of {n}")
-        items = list(range(n))
-        for i in range(k):
-            j = i + self.below(n - i)
-            items[i], items[j] = items[j], items[i]
-        return items[:k]
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller (one value per pair of uniforms)."""
-        u1 = self.random()
-        u2 = self.random()
-        if u1 <= 0.0:
-            u1 = _INV_2_53
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def next_u64s(self, count: int) -> np.ndarray:
         """The next `count` outputs as a uint64 array, leaving the state

@@ -51,8 +51,6 @@ class TrainConfig:
     mode: str = "rest"
     refresh_per_step: int = 1        # forward-only refresh batches per gradient step
     clusters_per_batch: int = 1
-    refresh_mode: str = "same"       # same | half | full (refresh batch width)
-    sampler: str = "round_robin"
     epochs: int = 1
     seed: int = 0
     lr: float = 0.001
@@ -66,7 +64,6 @@ class TrainConfig:
     warmup_refresh: bool = False
     probe_every: int = 0             # 0 disables the approximation-error probe
     timing: bool = False             # wall_ms stays 0.0 unless enabled
-    parallel_refresh: bool = False   # refresh pulls read the pre-pass snapshot
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -75,13 +72,6 @@ class TrainConfig:
             raise ValueError("refresh_per_step must be >= 0")
         if self.mode == "rest_is" and self.refresh_per_step < 1:
             raise ValueError("rest_is needs refresh_per_step >= 1")
-        if self.refresh_mode not in ("same", "half", "full"):
-            raise ValueError(f"unknown refresh_mode {self.refresh_mode!r}")
-        if self.refresh_mode != "same" and self.mode != "rest":
-            raise ValueError("refresh_mode half/full applies to rest only")
-        if self.sampler not in ("round_robin", "uniform"):
-            raise ValueError(f"unknown sampler {self.sampler!r} "
-                             "(importance refresh is mode=rest_is)")
         if self.clusters_per_batch < 1:
             raise ValueError("clusters_per_batch must be >= 1")
         if self.probe_every < 0:
@@ -105,7 +95,6 @@ def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
                                params: GcnParams, history: HistoryTable,
                                push: bool, step: int,
                                drop: tuple[float, np.random.Generator] | None = None,
-                               pull_from: HistoryTable | None = None,
                                ax: np.ndarray | None = None
                                ) -> tuple[list[np.ndarray], LayerCache, int]:
     """Forward over a batch, memory rows standing in for halo neighbors.
@@ -116,9 +105,6 @@ def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
     layer is written back at `step`. Returns the per-layer in-batch outputs,
     the backward cache, and how many pulled rows were never written.
 
-    pull_from redirects reads to another table (the pre-pass snapshot used by
-    the concurrent-refresh semantics); pushes always hit `history`.
-
     ax, the whole-graph product Â·X, gives layer 1's aggregation as its
     in-batch rows: each row sums the same terms in the same CSR order, so the
     result is bit-identical. It cannot stand in for dropped-out inputs.
@@ -128,7 +114,6 @@ def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
         raise ValueError("Â·X cannot stand in for aggregating dropped-out inputs")
     L = params.num_layers
     nb = len(batch.in_batch)
-    reads = history if pull_from is None else pull_from
     cache = LayerCache(adj=batch.local_adj, num_in_batch=nb)
     cold_total = 0
     inputs = None if ax is not None else features[batch.global_map].astype(np.float64)
@@ -148,7 +133,7 @@ def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
             if push:
                 history.push(l + 1, batch.in_batch, h, step)
             if len(batch.halo):
-                halo_rows, cold = reads.pull(l + 1, batch.halo)
+                halo_rows, cold = history.pull(l + 1, batch.halo)
                 cold_total += cold
                 inputs = np.empty((nb + len(batch.halo), h.shape[1]))
                 inputs[:nb] = h
@@ -193,26 +178,13 @@ def train_step_gas(batch: MiniBatch, state: TrainState, ds: Dataset,
 
 def rest_refresh_pass(batches: list[MiniBatch], state: TrainState, ds: Dataset,
                       drop: tuple[float, np.random.Generator] | None = None,
-                      snapshot_reads: bool = False,
                       ax: np.ndarray | None = None) -> None:
     """Gradient-free forwards that only rewrite table rows; parameters and the
-    step counter are untouched.
-
-    snapshot_reads gives the pass the semantics of running its batches
-    concurrently: every pull sees the table as it was when the pass started,
-    and writes land last-writer-wins. The default (reference mode) is strictly
-    sequential, each batch seeing the previous one's pushes.
-    """
-    pull_from = None
-    if snapshot_reads and len(batches) > 1:
-        pull_from = HistoryTable(state.history.num_nodes, state.history.dims)
-        for li, mat in enumerate(state.history.layers):
-            pull_from.layers[li][:] = mat
-        pull_from.last_update[:] = state.history.last_update
+    step counter are untouched. Batches run in listed order, each one
+    reading the rows the previous ones pushed."""
     for batch in batches:
         batch_forward_with_history(batch, ds.features, state.params, state.history,
-                                   push=True, step=state.model_step, drop=drop,
-                                   pull_from=pull_from, ax=ax)
+                                   push=True, step=state.model_step, drop=drop, ax=ax)
 
 
 def rest_is_refresh_selection(grad_batch: MiniBatch, g_norm: NormAdj,
@@ -342,10 +314,6 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     # would only carry the n x d_in float64 array
     ax = g_norm.matmul(ds.features) if memory and drop is None else None
     is_rng = Rng(derive_seed(cfg.seed, "importance"))
-    sched_seed = derive_seed(cfg.seed, "schedule")
-    sampler = "importance" if cfg.mode == "rest_is" else cfg.sampler
-    # gas is rest without refresh batches, whatever F its config carries
-    refresh_per_step = 0 if cfg.mode == "gas" else cfg.refresh_per_step
     whole_ids = tuple(range(part.num_parts))
     whole = np.arange(n, dtype=np.int64)
     batch_cache: dict[tuple[int, ...], MiniBatch] = {
@@ -384,14 +352,16 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
                                    state.params, state.history, push=True, step=0,
                                    ax=ax)
 
+    # one plan serves every epoch; only rest refreshes scheduled clusters (gas
+    # runs none whatever F its config carries, rest_is picks its own per step)
+    if memory:
+        steps = schedule_epoch(part, cfg.clusters_per_batch,
+                               cfg.refresh_per_step if cfg.mode == "rest" else 0,
+                               derive_seed(cfg.seed, "schedule"))
+    else:
+        steps = [ScheduleStep(refresh=(), grad=whole_ids)]
+    chunk_ids = [st.grad for st in steps]
     for epoch in range(cfg.epochs):
-        if memory:
-            steps = schedule_epoch(part, cfg.clusters_per_batch, refresh_per_step,
-                                   sampler, sched_seed, epoch=epoch,
-                                   refresh_mode=cfg.refresh_mode)
-        else:
-            steps = [ScheduleStep(refresh=(), grad=whole_ids)]
-        chunk_ids = [st.grad for st in steps]
         for st in steps:
             t0 = time.perf_counter()
             pstats = (persistence_stats(state.history, state.model_step) if memory
@@ -408,8 +378,7 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
             else:
                 refresh = [cluster_batch(c) for c in st.refresh]
             try:
-                rest_refresh_pass(refresh, state, ds, drop=drop,
-                                  snapshot_reads=cfg.parallel_refresh, ax=ax)
+                rest_refresh_pass(refresh, state, ds, drop=drop, ax=ax)
                 # the held forward is passed, never bound here, so it is
                 # released before evaluate computes the next one
                 loss = train_step_gas(

@@ -101,12 +101,16 @@ def test_unknown_flag_exits_2(tmp_path, capsys):
     assert len([l for l in stderr.strip().splitlines() if l.startswith("error")]) == 1
 
 
-def test_unknown_config_key_fails(tmp_path, capsys):
+# refresh_mode, sampler and parallel_refresh were keys once; a stale config
+# that still sets them is rejected, not silently run with the defaults
+@pytest.mark.parametrize("key", ["batchsize", "refresh_mode", "sampler",
+                                 "parallel_refresh"])
+def test_unknown_config_key_fails(tmp_path, capsys, key):
     path = tmp_path / "bad.cfg"
-    path.write_text("mode=rest\nbatchsize=4\n")
+    path.write_text(f"mode=rest\n{key}=4\n")
     code, _, stderr = run_cli(capsys, "train", "--config", str(path))
     assert code == 1
-    assert "batchsize" in stderr
+    assert f"unknown key {key!r}" in stderr
     assert ":2" in stderr
 
 
@@ -187,6 +191,15 @@ def test_ablate_f_merged_csv(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 3  # two runs x one epoch x 3 clusters
 
 
+def test_ablate_f_empty_f_values_fails(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", epochs=1)
+    code, _, stderr = run_cli(capsys, "ablate-f", "--config", cfg,
+                              "--f-values", "", "--out", str(tmp_path / "a.csv"))
+    assert code == 1
+    assert stderr.strip().startswith("error:")
+    assert len(stderr.strip().splitlines()) == 1
+
+
 def test_missing_data_dir_fails_cleanly(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "eval", "--checkpoint", "nope.ckpt",
                               "--data", f"dir:{tmp_path / 'absent'}")
@@ -195,7 +208,7 @@ def test_missing_data_dir_fails_cleanly(tmp_path, capsys):
     assert len(stderr.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("key", ["warmup_refresh", "timing", "parallel_refresh"])
+@pytest.mark.parametrize("key", ["warmup_refresh", "timing"])
 def test_flags_accept_only_0_and_1(tmp_path, key):
     path = tmp_path / "c.cfg"
     for value, parsed in (("0", 0), ("1", 1), (" 1 ", 1)):

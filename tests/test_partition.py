@@ -183,7 +183,7 @@ def _fake_partition(num_parts):
 
 def test_schedule_plain_epoch():
     part = _fake_partition(4)
-    steps = schedule_epoch(part, 1, 0, "round_robin", seed=5)
+    steps = schedule_epoch(part, 1, 0, seed=5)
     assert len(steps) == 4
     grads = [c for st in steps for c in st.grad]
     assert sorted(grads) == [0, 1, 2, 3]
@@ -192,7 +192,7 @@ def test_schedule_plain_epoch():
 
 def test_schedule_refresh_covers_each_cluster_once():
     part = _fake_partition(4)
-    steps = schedule_epoch(part, 1, 1, "round_robin", seed=5)
+    steps = schedule_epoch(part, 1, 1, seed=5)
     assert len(steps) == 4
     assert all(len(st.refresh) == 1 for st in steps)
     grads = sorted(c for st in steps for c in st.grad)
@@ -205,7 +205,7 @@ def test_schedule_refresh_covers_each_cluster_once():
 
 def test_schedule_two_clusters_per_batch():
     part = _fake_partition(4)
-    steps = schedule_epoch(part, 2, 0, "round_robin", seed=5)
+    steps = schedule_epoch(part, 2, 0, seed=5)
     assert len(steps) == 2
     assert all(len(st.grad) == 2 for st in steps)
     assert sorted(c for st in steps for c in st.grad) == [0, 1, 2, 3]
@@ -213,50 +213,19 @@ def test_schedule_two_clusters_per_batch():
 
 def test_schedule_is_pure():
     part = _fake_partition(6)
-    a = schedule_epoch(part, 2, 2, "round_robin", seed=3)
-    b = schedule_epoch(part, 2, 2, "round_robin", seed=3)
+    a = schedule_epoch(part, 2, 2, seed=3)
+    b = schedule_epoch(part, 2, 2, seed=3)
     assert a == b
-    c = schedule_epoch(part, 2, 2, "round_robin", seed=4)
+    c = schedule_epoch(part, 2, 2, seed=4)
     assert a != c
-
-
-def test_schedule_uniform_draws_without_replacement():
-    part = _fake_partition(6)
-    steps = schedule_epoch(part, 1, 3, "uniform", seed=3, epoch=2)
-    for st in steps:
-        got = [st.refresh[i] for i in range(3)]
-        assert len(set(got)) == 3
-
-
-def test_schedule_full_refresh_mode_spans_everything():
-    part = _fake_partition(5)
-    steps = schedule_epoch(part, 1, 1, "round_robin", seed=1, refresh_mode="full")
-    for st in steps:
-        assert st.refresh[0] == tuple(range(5))
-
-
-def test_schedule_half_refresh_mode():
-    part = _fake_partition(8)
-    steps = schedule_epoch(part, 1, 1, "round_robin", seed=1, refresh_mode="half")
-    for st in steps:
-        assert len(st.refresh[0]) == 4
-
-
-def test_schedule_importance_carries_grad_only():
-    part = _fake_partition(4)
-    steps = schedule_epoch(part, 1, 2, "importance", seed=1)
-    assert all(st.refresh == () for st in steps)
-    assert sorted(c for st in steps for c in st.grad) == [0, 1, 2, 3]
 
 
 def test_schedule_rejects_bad_args():
     part = _fake_partition(4)
     with pytest.raises(ValueError):
-        schedule_epoch(part, 5, 0, "round_robin", seed=0)
+        schedule_epoch(part, 5, 0, seed=0)
     with pytest.raises(ValueError):
-        schedule_epoch(part, 1, -1, "round_robin", seed=0)
-    with pytest.raises(ValueError):
-        schedule_epoch(part, 1, 0, "fancy", seed=0)
+        schedule_epoch(part, 1, -1, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -64,14 +64,6 @@ def test_shuffle_is_permutation():
     assert items != list(range(30))
 
 
-def test_sample_distinct():
-    r = Rng(13)
-    for _ in range(50):
-        got = r.sample(10, 4)
-        assert len(set(got)) == 4
-        assert all(0 <= x < 10 for x in got)
-
-
 def test_normals_moments():
     xs = Rng(17).normals(20000)
     assert abs(xs.mean()) < 0.05

@@ -274,37 +274,6 @@ def test_refresh_updates_only_named_cluster():
     assert np.array_equal(touched, part.clusters[2])
 
 
-def test_snapshot_refresh_reads_pre_pass_table():
-    # depth 3 makes layer-2 pushes depend on layer-1 pulls, so a later
-    # refresh batch can observe an earlier one's writes only in sequential
-    # (reference) mode
-    ds = path_dataset(3, d_in=3)
-    g_norm = normalize_adjacency(ds.graph)
-    dims = [3, 4, 4, 2]
-    seq = fresh_state(ds, dims, seed=5)
-    par = clone_state(seq)
-    # seed the table so snapshot reads are warm but distinct from fresh rows
-    for st in (seq, par):
-        for layer in (1, 2):
-            st.history.push(layer, np.arange(3),
-                            np.full((3, 4), 0.25, dtype=np.float32), step=0)
-    batches = [make_batch_from_nodes(g_norm, np.array([0])),
-               make_batch_from_nodes(g_norm, np.array([1]))]
-    rest_refresh_pass(batches, seq, ds)
-    rest_refresh_pass(batches, par, ds, snapshot_reads=True)
-    # batch {1} pulls node 0's layer-1 row: fresh in sequential mode,
-    # pre-pass value under snapshot semantics, so its layer-2 rows differ
-    assert np.array_equal(seq.history.layers[0], par.history.layers[0])
-    assert not np.array_equal(seq.history.layers[1][1], par.history.layers[1][1])
-    # both leave parameters untouched and are internally deterministic
-    par2 = clone_state(fresh_state(ds, dims, seed=5))
-    for layer in (1, 2):
-        par2.history.push(layer, np.arange(3),
-                          np.full((3, 4), 0.25, dtype=np.float32), step=0)
-    rest_refresh_pass(batches, par2, ds, snapshot_reads=True)
-    assert np.array_equal(par.history.layers[1], par2.history.layers[1])
-
-
 # ------------------------------------------------------- importance batches ---
 
 def test_importance_selection_empty_without_halo(caplog):
@@ -424,14 +393,26 @@ def test_rest_with_no_refresh_equals_gas():
     # ablate-f's F=0 arm stands in for gas
     ds = small_dataset(seed=10)
     part = partition_graph(ds.graph, 4, seed=6)
-    for sampler in ("round_robin", "uniform"):
-        common = dict(epochs=2, hidden=6, seed=3, sampler=sampler, probe_every=1)
-        rec_gas, par_gas = run_training(
-            TrainConfig(mode="gas", refresh_per_step=2, **common), ds, part)
-        rec_rest, par_rest = run_training(
-            TrainConfig(mode="rest", refresh_per_step=0, **common), ds, part)
-        assert rec_gas == rec_rest
-        assert np.array_equal(par_gas.flat(), par_rest.flat())
+    common = dict(epochs=2, hidden=6, seed=3, probe_every=1)
+    rec_gas, par_gas = run_training(
+        TrainConfig(mode="gas", refresh_per_step=2, **common), ds, part)
+    rec_rest, par_rest = run_training(
+        TrainConfig(mode="rest", refresh_per_step=0, **common), ds, part)
+    assert rec_gas == rec_rest
+    assert np.array_equal(par_gas.flat(), par_rest.flat())
+
+
+def test_run_training_plans_schedule_once(monkeypatch):
+    ds = small_dataset(seed=24)
+    part = partition_graph(ds.graph, 4, seed=6)
+    calls = []
+    real = trainer.schedule_epoch
+    monkeypatch.setattr(trainer, "schedule_epoch",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    records, _ = run_training(TrainConfig(mode="rest", refresh_per_step=1, epochs=3,
+                                          hidden=4, seed=1), ds, part)
+    assert len(records) == 12
+    assert len(calls) == 1  # every epoch repeats the one plan
 
 
 def test_full_mode_probe_skips_oracle_forward(monkeypatch):
@@ -561,27 +542,6 @@ def test_run_training_warmup_removes_cold_reads():
     assert records[0].cold_rows == 0
 
 
-def test_run_training_uniform_sampler_runs():
-    ds = small_dataset(seed=24)
-    part = partition_graph(ds.graph, 4, seed=6)
-    cfg = TrainConfig(mode="rest", sampler="uniform", refresh_per_step=2,
-                      epochs=2, hidden=4, seed=1)
-    records, _ = run_training(cfg, ds, part)
-    assert len(records) == 8
-
-
-def test_run_training_refresh_mode_full_resets_persistence():
-    ds = small_dataset(seed=25)
-    part = partition_graph(ds.graph, 4, seed=7)
-    cfg = TrainConfig(mode="rest", refresh_mode="full", refresh_per_step=1,
-                      epochs=2, hidden=4, seed=1)
-    records, _ = run_training(cfg, ds, part)
-    # every step's refresh spans all clusters, so nothing is ever older than
-    # one update when the next step starts
-    for r in records[1:]:
-        assert r.persist_max == (1,)
-
-
 def test_divergence_aborts_with_checkpoint_dump(tmp_path):
     ds = small_dataset(seed=26)
     part = partition_graph(ds.graph, 2, seed=1)
@@ -615,13 +575,8 @@ def test_config_validation():
         TrainConfig(mode="sgd").validate()
     with pytest.raises(ValueError):
         TrainConfig(mode="rest_is", refresh_per_step=0).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(mode="gas", refresh_mode="full").validate()
-    for bad in (dict(mode="rest", sampler="importance", refresh_per_step=3),
-                dict(mode="full", sampler="anything"),
-                dict(clusters_per_batch=0),
+    for bad in (dict(clusters_per_batch=0),
                 dict(probe_every=-1)):
         with pytest.raises(ValueError):
             TrainConfig(**bad).validate()
-    TrainConfig(mode="rest", sampler="uniform", refresh_mode="half",
-                clusters_per_batch=2, probe_every=0).validate()
+    TrainConfig(mode="rest", clusters_per_batch=2, probe_every=0).validate()
