@@ -63,10 +63,11 @@ def bound_check_instance(seed: int, n: int = 50, num_layers: int = 2,
     oracle_hs, _ = full_forward(g_norm, ds.features, params)
     part = partition_graph(ds.graph, min(num_parts, n_actual),
                            derive_seed(seed, "part"))
+    ax = g_norm.matmul(ds.features)
     run_logits = np.zeros_like(oracle_hs[-1])
     for c in range(part.num_parts):
         batch = make_batch(g_norm, part, [c])
-        hs, _, _ = batch_forward_with_history(batch, ds.features, params, table,
+        hs, _, _ = batch_forward_with_history(batch, ax, params, table,
                                               push=False, step=0)
         run_logits[batch.in_batch] = hs[-1]
 

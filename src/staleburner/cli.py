@@ -11,14 +11,15 @@ Recognized keys:
     c              clusters per batch
     epochs, seed
     lr, weight_decay, beta1, beta2, adam_eps
-    hidden, layers, dropout
+    hidden, layers
     warmup_refresh 0|1    one gradient-free whole-graph refresh before training
     probe_every    approximation-error probe cadence in steps (0 = off)
     timing         0|1    record real wall-clock ms (off keeps runs bit-reproducible)
 
 Refresh batches run one after another, and every epoch repeats one
-round-robin plan. Unknown keys are rejected. The STALEBURNER_SEED
-environment variable, when set, overrides the config seed.
+round-robin plan. Unknown keys are rejected; a key left out keeps its
+TrainConfig default. The STALEBURNER_SEED environment variable, when set,
+overrides the config seed.
 """
 
 from __future__ import annotations
@@ -36,21 +37,23 @@ from .partition import partition_graph
 from .rng import derive_seed
 from .trainer import TrainConfig, evaluate, load_checkpoint, run_training
 
-def _flag(text: str) -> int:
+def _flag(text: str) -> bool:
     """A 0|1 value; any other integer is rejected, not read as true."""
     value = int(text)
     if value not in (0, 1):
         raise ValueError(f"{text!r} is not 0 or 1")
-    return value
+    return value == 1
 
 
 _CONFIG_KEYS = {
     "dataset": str, "parts": int, "mode": str, "F": int, "c": int,
     "epochs": int, "seed": int, "lr": float, "weight_decay": float,
     "beta1": float, "beta2": float, "adam_eps": float, "hidden": int,
-    "layers": int, "dropout": float,
-    "warmup_refresh": _flag, "probe_every": int, "timing": _flag,
+    "layers": int, "warmup_refresh": _flag, "probe_every": int, "timing": _flag,
 }
+# config keys named differently from their TrainConfig field
+_FIELD_OF = {"F": "refresh_per_step", "c": "clusters_per_batch",
+             "layers": "num_layers"}
 
 
 class ConfigError(ValueError):
@@ -113,24 +116,10 @@ def load_data_source(source: str, run_seed: int) -> Dataset:
 
 
 def train_config_from(cfg: dict) -> TrainConfig:
-    tc = TrainConfig(
-        mode=cfg.get("mode", "rest"),
-        refresh_per_step=cfg.get("F", 1),
-        clusters_per_batch=cfg.get("c", 1),
-        epochs=cfg.get("epochs", 1),
-        seed=cfg.get("seed", 0),
-        lr=cfg.get("lr", 0.001),
-        weight_decay=cfg.get("weight_decay", 0.0),
-        beta1=cfg.get("beta1", 0.9),
-        beta2=cfg.get("beta2", 0.999),
-        adam_eps=cfg.get("adam_eps", 1e-8),
-        hidden=cfg.get("hidden", 128),
-        num_layers=cfg.get("layers", 2),
-        dropout=cfg.get("dropout", 0.0),
-        warmup_refresh=bool(cfg.get("warmup_refresh", 0)),
-        probe_every=cfg.get("probe_every", 0),
-        timing=bool(cfg.get("timing", 0)),
-    )
+    """The TrainConfig a parsed config sets; the run-level keys (dataset,
+    parts) are not its fields."""
+    tc = TrainConfig(**{_FIELD_OF.get(k, k): v for k, v in cfg.items()
+                        if k not in ("dataset", "parts")})
     tc.validate()
     return tc
 

@@ -78,7 +78,6 @@ def load_table_dump(path: str) -> np.ndarray:
 class LayerPersistence:
     mean: float          # over rows pushed at least once
     max: int             # 0 when every row is cold
-    hist: np.ndarray     # bincount of warm-row persistences
     cold: int            # rows never pushed
 
 
@@ -96,11 +95,7 @@ def persistence_stats(table: HistoryTable, now: int) -> list[LayerPersistence]:
         if len(last) and now < last[warm].max(initial=NEVER):
             raise ValueError(f"now={now} is behind a stored step {last[warm].max()}")
         ages = now - last[warm]
-        if ages.size:
-            out.append(LayerPersistence(mean=float(ages.mean()), max=int(ages.max()),
-                                        hist=np.bincount(ages),
-                                        cold=int(np.count_nonzero(~warm))))
-        else:
-            out.append(LayerPersistence(mean=0.0, max=0, hist=np.zeros(1, dtype=np.int64),
-                                        cold=int(np.count_nonzero(~warm))))
+        out.append(LayerPersistence(mean=float(ages.mean()) if ages.size else 0.0,
+                                    max=int(ages.max(initial=0)),
+                                    cold=int(np.count_nonzero(~warm))))
     return out

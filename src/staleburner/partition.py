@@ -50,7 +50,6 @@ class MiniBatch:
     in_batch: np.ndarray
     halo: np.ndarray
     local_adj: NormAdj
-    global_map: np.ndarray  # local id -> global id, len(in_batch) + len(halo)
 
 
 def _edge_cut(g: CsrGraph, cluster_of: np.ndarray) -> int:
@@ -220,8 +219,7 @@ def make_batch_from_nodes(g_norm: NormAdj, node_ids: np.ndarray) -> MiniBatch:
     local_adj = NormAdj(num_rows=len(in_batch),
                         num_cols=len(in_batch) + len(halo),
                         row_ptr=row_ptr, col_idx=col_idx, values=values)
-    return MiniBatch(in_batch=in_batch, halo=halo, local_adj=local_adj,
-                     global_map=np.concatenate([in_batch, halo]))
+    return MiniBatch(in_batch=in_batch, halo=halo, local_adj=local_adj)
 
 
 def make_batch(g_norm: NormAdj, part: Partition, cluster_ids: list[int]) -> MiniBatch:

@@ -17,9 +17,9 @@ identical full-batch steps when the partition has a single cluster.
 
 Every step ends with a whole-graph evaluate. Its forward is held until the
 parameters change: it is the oracle of the probe that opens the next step
-and, in full mode without dropout, the next gradient step's forward. Without
-dropout the memory modes also compute Â·X once per run, so layer 1 gathers
-rows instead of aggregating. Records and parameters stay bit-identical.
+and, in full mode, the next gradient step's forward. The memory modes compute
+Â·X once per run, so every batch forward gathers layer 1's rows instead of
+aggregating. Records and parameters stay bit-identical.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     hidden: int = 128
     num_layers: int = 2
-    dropout: float = 0.0
     warmup_refresh: bool = False
     probe_every: int = 0             # 0 disables the approximation-error probe
     timing: bool = False             # wall_ms stays 0.0 unless enabled
@@ -76,8 +75,6 @@ class TrainConfig:
             raise ValueError("clusters_per_batch must be >= 1")
         if self.probe_every < 0:
             raise ValueError("probe_every must be >= 0")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValueError("dropout must be in [0, 1)")
         if self.epochs < 0 or self.num_layers < 1 or self.hidden < 1:
             raise ValueError("epochs, num_layers, hidden must be positive")
 
@@ -91,42 +88,29 @@ class TrainState:
     records: list[MetricsRecord] = field(default_factory=list)
 
 
-def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
+def batch_forward_with_history(batch: MiniBatch, ax: np.ndarray,
                                params: GcnParams, history: HistoryTable,
-                               push: bool, step: int,
-                               drop: tuple[float, np.random.Generator] | None = None,
-                               ax: np.ndarray | None = None
+                               push: bool, step: int
                                ) -> tuple[list[np.ndarray], LayerCache, int]:
     """Forward over a batch, memory rows standing in for halo neighbors.
 
-    Layer 1 aggregates raw features for every local node (inputs are never
-    stale); deeper layers aggregate the freshly computed in-batch rows plus
-    table rows for the halo. With push=True each computed in-batch hidden
-    layer is written back at `step`. Returns the per-layer in-batch outputs,
-    the backward cache, and how many pulled rows were never written.
-
-    ax, the whole-graph product Â·X, gives layer 1's aggregation as its
-    in-batch rows: each row sums the same terms in the same CSR order, so the
-    result is bit-identical. It cannot stand in for dropped-out inputs.
+    Layer 1's aggregation is the batch's rows of ax, the whole-graph product
+    Â·X: inputs are never stale, and each row sums the same terms in the same
+    CSR order as aggregating the batch's own features, so the result is
+    bit-identical. Deeper layers aggregate the freshly computed in-batch rows
+    plus table rows for the halo. With push=True each computed in-batch
+    hidden layer is written back at `step`. Returns the per-layer in-batch
+    outputs, the backward cache, and how many pulled rows were never written.
     """
-    dropping = drop is not None and drop[0] > 0.0
-    if ax is not None and dropping:
-        raise ValueError("Â·X cannot stand in for aggregating dropped-out inputs")
     L = params.num_layers
     nb = len(batch.in_batch)
     cache = LayerCache(adj=batch.local_adj, num_in_batch=nb)
     cold_total = 0
-    inputs = None if ax is not None else features[batch.global_map].astype(np.float64)
-    h = None
+    inputs = h = None
     for l in range(L):
-        if dropping:
-            rate, gen = drop
-            keep = gen.random(inputs.shape) >= rate
-            inputs = inputs * keep / (1.0 - rate)
         agg, _, h = layer_apply(batch.local_adj, inputs, params.weights[l],
                                 params.biases[l], last=(l == L - 1),
-                                agg=ax[batch.in_batch] if l == 0 and ax is not None
-                                else None)
+                                agg=ax[batch.in_batch] if l == 0 else None)
         cache.aggs.append(agg)
         cache.hs.append(h)
         if l < L - 1:
@@ -146,16 +130,15 @@ def batch_forward_with_history(batch: MiniBatch, features: np.ndarray,
 
 
 def train_step_gas(batch: MiniBatch, state: TrainState, ds: Dataset,
-                   push: bool = True,
-                   drop: tuple[float, np.random.Generator] | None = None,
-                   ax: np.ndarray | None = None,
+                   ax: np.ndarray | None,
                    forward: LayerCache | None = None) -> float:
     """One gradient step on a batch: forward with memory fill, masked loss,
     backward treating pulled rows as constants, optimizer update.
 
-    forward, a whole-graph forward already run at the current parameters,
-    is the step's forward when the batch is the whole graph, which has no
-    halo and lists its nodes in global order; it must be dropout-free."""
+    Without `forward` the step runs a batch forward from ax (Â·X) that
+    pushes its in-batch rows. forward, a whole-graph forward already run at
+    the current parameters, is the step's forward when the batch is the
+    whole graph, which has no halo and lists its nodes in global order."""
     mask = ds.train_mask[batch.in_batch]
     if not mask.any():
         raise ValueError(
@@ -163,8 +146,7 @@ def train_step_gas(batch: MiniBatch, state: TrainState, ds: Dataset,
             f"(first id {batch.in_batch[0]})")
     if forward is None:
         hs, cache, _ = batch_forward_with_history(
-            batch, ds.features, state.params, state.history,
-            push=push, step=state.model_step, drop=drop, ax=ax)
+            batch, ax, state.params, state.history, push=True, step=state.model_step)
     elif len(batch.halo) or forward.num_in_batch != len(batch.in_batch):
         raise ValueError("a whole-graph forward can only stand in for the whole graph")
     else:
@@ -176,15 +158,14 @@ def train_step_gas(batch: MiniBatch, state: TrainState, ds: Dataset,
     return loss
 
 
-def rest_refresh_pass(batches: list[MiniBatch], state: TrainState, ds: Dataset,
-                      drop: tuple[float, np.random.Generator] | None = None,
-                      ax: np.ndarray | None = None) -> None:
+def rest_refresh_pass(batches: list[MiniBatch], state: TrainState,
+                      ax: np.ndarray) -> None:
     """Gradient-free forwards that only rewrite table rows; parameters and the
     step counter are untouched. Batches run in listed order, each one
     reading the rows the previous ones pushed."""
     for batch in batches:
-        batch_forward_with_history(batch, ds.features, state.params, state.history,
-                                   push=True, step=state.model_step, drop=drop, ax=ax)
+        batch_forward_with_history(batch, ax, state.params, state.history,
+                                   push=True, step=state.model_step)
 
 
 def rest_is_refresh_selection(grad_batch: MiniBatch, g_norm: NormAdj,
@@ -231,10 +212,9 @@ def evaluate(g_norm: NormAdj, ds: Dataset, params: GcnParams,
     return tuple(accs)
 
 
-def _probe_apx_errors(ds: Dataset, state: TrainState,
-                      chunk_batches: list[MiniBatch], mode: str,
+def _probe_apx_errors(state: TrainState, chunk_batches: list[MiniBatch], mode: str,
                       oracle: Callable[[], LayerCache],
-                      ax: np.ndarray | None = None) -> tuple[float, ...]:
+                      ax: np.ndarray | None) -> tuple[float, ...]:
     """Per-layer mean distance between memory/run embeddings and a fresh
     whole-graph forward (`oracle()`, at the current parameters): stored layers
     come straight from the table, the final layer from re-running every batch
@@ -247,8 +227,8 @@ def _probe_apx_errors(ds: Dataset, state: TrainState,
     run_logits = np.zeros_like(oracle_hs[-1])
     for batch in chunk_batches:
         hs, _, _ = batch_forward_with_history(
-            batch, ds.features, state.params, state.history,
-            push=False, step=state.model_step, ax=ax)
+            batch, ax, state.params, state.history,
+            push=False, step=state.model_step)
         run_logits[batch.in_batch] = hs[-1]
     final_err = approximation_error(run_logits, oracle_hs[-1])
     return tuple(table_errs) + (final_err,)
@@ -289,12 +269,24 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     cfg.timing is set)."""
     cfg.validate()
     ds.validate()
+    memory = cfg.mode != "full"
+    whole_ids = tuple(range(part.num_parts))
+    # one plan serves every epoch; only rest refreshes scheduled clusters (gas
+    # runs none whatever F its config carries, rest_is picks its own per
+    # step). Planned first, so a batch size the partition cannot fill fails
+    # before any work
+    if memory:
+        steps = schedule_epoch(part, cfg.clusters_per_batch,
+                               cfg.refresh_per_step if cfg.mode == "rest" else 0,
+                               derive_seed(cfg.seed, "schedule"))
+    else:
+        steps = [ScheduleStep(refresh=(), grad=whole_ids)]
+    chunk_ids = [st.grad for st in steps]
     g_norm = normalize_adjacency(ds.graph)
     n = ds.graph.num_nodes
     dims = ([ds.num_features]
             + [cfg.hidden] * (cfg.num_layers - 1)
             + [ds.num_classes])
-    memory = cfg.mode != "full"
     # full mode reads no table: it keeps an empty one and reports what a
     # never-written table would, every hidden row cold
     state = TrainState(
@@ -303,22 +295,15 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
                   eps=cfg.adam_eps, weight_decay=cfg.weight_decay),
         history=HistoryTable(n, dims[1:-1] if memory else []),
     )
-    cold_stats = [LayerPersistence(mean=0.0, max=0, hist=np.zeros(1, dtype=np.int64),
-                                   cold=n)] * (cfg.num_layers - 1)
-    drop = None
-    if cfg.dropout > 0.0:
-        drop = (cfg.dropout,
-                np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "dropout"))))
-    # Â·X is parameter-free, so without input dropout layer 1 gathers its rows
-    # instead of aggregating; full mode aggregates X once per step anyway and
-    # would only carry the n x d_in float64 array
-    ax = g_norm.matmul(ds.features) if memory and drop is None else None
+    cold_stats = [LayerPersistence(mean=0.0, max=0, cold=n)] * (cfg.num_layers - 1)
+    # Â·X is parameter-free, so every batch forward gathers layer 1's rows
+    # instead of aggregating. Full mode aggregates X inside its whole-graph
+    # forward: a persistent n x d_in float64 array would only raise its peak
+    ax = g_norm.matmul(ds.features) if memory else None
     is_rng = Rng(derive_seed(cfg.seed, "importance"))
-    whole_ids = tuple(range(part.num_parts))
-    whole = np.arange(n, dtype=np.int64)
     batch_cache: dict[tuple[int, ...], MiniBatch] = {
-        whole_ids: MiniBatch(in_batch=whole, halo=np.empty(0, dtype=np.int64),
-                             local_adj=g_norm, global_map=whole)}
+        whole_ids: MiniBatch(in_batch=np.arange(n, dtype=np.int64),
+                             halo=np.empty(0, dtype=np.int64), local_adj=g_norm)}
 
     def cluster_batch(ids: tuple[int, ...]) -> MiniBatch:
         key = tuple(sorted(ids))
@@ -326,9 +311,6 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
             batch_cache[key] = make_batch(g_norm, part, list(key))
         return batch_cache[key]
 
-    # full mode without dropout trains on the whole graph with evaluate's
-    # forward; every other mode reads only that forward's outputs
-    share_grad_forward = not memory and drop is None
     # the latest whole-graph forward, keyed by the parameter version it ran at
     held: dict[int, LayerCache] = {}
 
@@ -337,37 +319,28 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
         version: evaluate's forward after step t is the oracle of the probe
         that opens step t+1 and, in full mode, its gradient forward. The old
         version's is dropped first, so two whole-graph caches never coexist,
-        and the backward intermediates are kept only for a gradient step."""
+        and the backward intermediates are kept only in full mode, which
+        trains on them."""
         if state.model_step not in held:
             held.clear()
             hs, cache = full_forward(g_norm, ds.features, state.params, agg=ax,
                                      keep_z=False)
-            held[state.model_step] = (cache if share_grad_forward
-                                      else LayerCache(adj=g_norm, num_in_batch=n, hs=hs))
+            held[state.model_step] = (LayerCache(adj=g_norm, num_in_batch=n, hs=hs)
+                                      if memory else cache)
         return held[state.model_step]
 
     if cfg.warmup_refresh and memory:
         # gradient-free whole-graph refresh so no pull ever reads the zero init
-        batch_forward_with_history(cluster_batch(whole_ids), ds.features,
-                                   state.params, state.history, push=True, step=0,
-                                   ax=ax)
+        batch_forward_with_history(cluster_batch(whole_ids), ax, state.params,
+                                   state.history, push=True, step=0)
 
-    # one plan serves every epoch; only rest refreshes scheduled clusters (gas
-    # runs none whatever F its config carries, rest_is picks its own per step)
-    if memory:
-        steps = schedule_epoch(part, cfg.clusters_per_batch,
-                               cfg.refresh_per_step if cfg.mode == "rest" else 0,
-                               derive_seed(cfg.seed, "schedule"))
-    else:
-        steps = [ScheduleStep(refresh=(), grad=whole_ids)]
-    chunk_ids = [st.grad for st in steps]
     for epoch in range(cfg.epochs):
         for st in steps:
             t0 = time.perf_counter()
             pstats = (persistence_stats(state.history, state.model_step) if memory
                       else cold_stats)
             if cfg.probe_every > 0 and state.model_step % cfg.probe_every == 0:
-                apx = _probe_apx_errors(ds, state, [cluster_batch(c) for c in chunk_ids],
+                apx = _probe_apx_errors(state, [cluster_batch(c) for c in chunk_ids],
                                         cfg.mode, whole_forward, ax)
             else:
                 apx = tuple([float("nan")] * cfg.num_layers)
@@ -378,12 +351,11 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
             else:
                 refresh = [cluster_batch(c) for c in st.refresh]
             try:
-                rest_refresh_pass(refresh, state, ds, drop=drop, ax=ax)
+                rest_refresh_pass(refresh, state, ax)
                 # the held forward is passed, never bound here, so it is
                 # released before evaluate computes the next one
-                loss = train_step_gas(
-                    grad_batch, state, ds, push=memory, drop=drop, ax=ax,
-                    forward=held.get(state.model_step) if share_grad_forward else None)
+                loss = train_step_gas(grad_batch, state, ds, ax,
+                                      forward=None if memory else whole_forward())
             except FloatingPointError:
                 if dump_prefix is not None:
                     save_checkpoint(state.params, dump_prefix + "_diverged.ckpt")

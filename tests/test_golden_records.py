@@ -1,8 +1,8 @@
 """Golden records: the sha256 of every `format_record` line and of the final
 parameter bytes for a small grid of runs, pinned to values recorded before
-`run_training` shared its whole-graph forward and cached Â·X. The two
-3-layer `full` cases were recorded before forwards applied bias and ReLU in
-place and backward masked on layer outputs.
+`run_training` shared its whole-graph forward and cached Â·X. The 3-layer
+`full` case was recorded before forwards applied bias and ReLU in place and
+backward masked on layer outputs.
 
 Performance work on the training loop must keep both digests byte for byte.
 Regenerate `golden_records.json` only for a change that is meant to move the
@@ -28,18 +28,18 @@ GOLDEN_PATH = Path(__file__).with_name("golden_records.json")
 
 
 def cases() -> dict[str, tuple[int, dict]]:
-    """Case id -> (number of parts, TrainConfig overrides)."""
+    """Case id -> (number of parts, TrainConfig overrides). The ids keep the
+    `drop0.0` of the grid they were recorded in, when input dropout was one
+    of its axes, so the pinned file and the test ids stay as recorded."""
     out = {}
-    for mode, dropout, probe, parts in itertools.product(
-            ("full", "gas", "rest", "rest_is"), (0.0, 0.3), (0, 1, 3), (1, 4)):
-        out[f"{mode}-drop{dropout}-probe{probe}-parts{parts}"] = (
-            parts, dict(mode=mode, dropout=dropout, probe_every=probe))
+    for mode, probe, parts in itertools.product(
+            ("full", "gas", "rest", "rest_is"), (0, 1, 3), (1, 4)):
+        out[f"{mode}-drop0.0-probe{probe}-parts{parts}"] = (
+            parts, dict(mode=mode, probe_every=probe))
     out["rest-3layer-cpb2"] = (4, dict(mode="rest", num_layers=3,
                                        clusters_per_batch=2, probe_every=1))
     # full mode's shared whole-graph forward through two masked hidden layers
-    for dropout in (0.0, 0.3):
-        out[f"full-3layer-drop{dropout}"] = (4, dict(mode="full", num_layers=3,
-                                                    dropout=dropout))
+    out["full-3layer-drop0.0"] = (4, dict(mode="full", num_layers=3))
     return out
 
 

@@ -121,7 +121,7 @@ def test_batch_rows_match_global_rows_randomized():
         local_dense = batch.local_adj.to_dense()
         for li, v in enumerate(batch.in_batch):
             reconstructed = np.zeros(ds.graph.num_nodes)
-            reconstructed[batch.global_map] = local_dense[li]
+            reconstructed[np.concatenate([batch.in_batch, batch.halo])] = local_dense[li]
             assert np.array_equal(reconstructed, dense[v])
 
 
@@ -154,7 +154,6 @@ def test_batch_arrays_match_loop_reference():
         halo, row_ptr, col_idx, values = batch_from_nodes_loop_reference(
             g_norm, batch.in_batch)
         assert np.array_equal(batch.halo, halo)
-        assert np.array_equal(batch.global_map, np.concatenate([batch.in_batch, halo]))
         assert batch.local_adj.num_cols == len(batch.in_batch) + len(halo)
         assert np.array_equal(batch.local_adj.row_ptr, row_ptr)
         assert np.array_equal(batch.local_adj.col_idx, col_idx)

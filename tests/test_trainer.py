@@ -63,8 +63,8 @@ def test_whole_graph_batch_equals_full_forward_bitwise():
     dims = [ds.num_features, 6, ds.num_classes]
     params = init_params(dims, seed=2)
     table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
-    hs_batch, _, cold = batch_forward_with_history(batch, ds.features, params,
-                                                   table, push=False, step=0)
+    hs_batch, _, cold = batch_forward_with_history(batch, g_norm.matmul(ds.features),
+                                                   params, table, push=False, step=0)
     hs_full, _ = full_forward(g_norm, ds.features, params)
     assert cold == 0
     for a, b in zip(hs_batch, hs_full):
@@ -81,8 +81,8 @@ def test_fresh_table_reproduces_full_forward():
     table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
     table.push(1, np.arange(ds.graph.num_nodes), hs_full[0], step=0)
     batch = make_batch(g_norm, part, [1])
-    hs_batch, _, cold = batch_forward_with_history(batch, ds.features, params,
-                                                   table, push=False, step=0)
+    hs_batch, _, cold = batch_forward_with_history(batch, g_norm.matmul(ds.features),
+                                                   params, table, push=False, step=0)
     assert cold == 0
     assert np.allclose(hs_batch[-1], hs_full[-1][batch.in_batch], atol=1e-6)
 
@@ -95,8 +95,8 @@ def test_zero_init_table_matches_masked_dense_oracle():
     params = init_params(dims, seed=6)
     batch = make_batch(g_norm, part, [2])
     table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
-    hs_batch, _, cold = batch_forward_with_history(batch, ds.features, params,
-                                                   table, push=False, step=0)
+    hs_batch, _, cold = batch_forward_with_history(batch, g_norm.matmul(ds.features),
+                                                   params, table, push=False, step=0)
     assert cold == len(batch.halo) * 2  # two hidden layers pulled cold
 
     # dense oracle: halo rows contribute raw features at layer 1 and zeros at
@@ -121,8 +121,8 @@ def test_batch_forward_pushes_at_step():
     params = init_params(dims, seed=7)
     table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
     batch = make_batch(g_norm, part, [0])
-    hs, _, _ = batch_forward_with_history(batch, ds.features, params, table,
-                                          push=True, step=4)
+    hs, _, _ = batch_forward_with_history(batch, g_norm.matmul(ds.features), params,
+                                          table, push=True, step=4)
     got, cold = table.pull(1, batch.in_batch)
     assert cold == 0
     assert np.array_equal(got, hs[0].astype(np.float32))
@@ -145,10 +145,11 @@ def test_ax_rows_equal_batch_aggregation_bitwise():
                *rest_is_refresh_selection(grad_batch, g_norm, 2, Rng(4)),
                make_batch(g_norm, part, [0, 1, 2, 3]),
                MiniBatch(in_batch=np.arange(n), halo=np.empty(0, dtype=np.int64),
-                         local_adj=g_norm, global_map=np.arange(n))]
+                         local_adj=g_norm)]
     assert len(batches) == 6
     for b in batches:
-        ref = b.local_adj.matmul(ds.features[b.global_map].astype(np.float64))
+        local = np.concatenate([b.in_batch, b.halo])
+        ref = b.local_adj.matmul(ds.features[local].astype(np.float64))
         assert np.array_equal(ax[b.in_batch], ref)
 
 
@@ -163,30 +164,17 @@ def test_batch_forward_with_ax_is_bitwise_identical():
     hs_ax, _ = full_forward(g_norm, ds.features, params, agg=ax)
     for a, b in zip(hs_full, hs_ax):
         assert np.array_equal(a, b)
+    # a batch forward's layer 1 is the aggregation of the batch's own
+    # features, bit for bit; every deeper layer follows from it and the table
     for ids in ([0], [1, 2]):
         batch = make_batch(g_norm, part, ids)
-        outs = []
-        for agg in (None, ax):
-            table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
-            table.push(1, np.arange(ds.graph.num_nodes), hs_full[0], step=0)
-            hs, cache, _ = batch_forward_with_history(
-                batch, ds.features, params, table, push=True, step=1, ax=agg)
-            outs.append(hs + cache.aggs + [table.layers[1]])
-        for a, b in zip(*outs):
-            assert np.array_equal(a, b)
-
-
-def test_ax_refuses_dropout():
-    ds = small_dataset(seed=7)
-    g_norm = normalize_adjacency(ds.graph)
-    part = partition_graph(ds.graph, 4, seed=3)
-    dims = [ds.num_features, 5, ds.num_classes]
-    with pytest.raises(ValueError):
-        batch_forward_with_history(make_batch(g_norm, part, [0]), ds.features,
-                                   init_params(dims, seed=1),
-                                   HistoryTable(ds.graph.num_nodes, dims[1:-1]),
-                                   push=False, step=0, ax=g_norm.matmul(ds.features),
-                                   drop=(0.5, np.random.default_rng(0)))
+        table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
+        table.push(1, np.arange(ds.graph.num_nodes), hs_full[0], step=0)
+        _, cache, _ = batch_forward_with_history(batch, ax, params, table,
+                                                 push=True, step=1)
+        local = np.concatenate([batch.in_batch, batch.halo])
+        assert np.array_equal(cache.aggs[0],
+                              batch.local_adj.matmul(ds.features[local].astype(np.float64)))
 
 
 @pytest.mark.parametrize("empty", ["none", "train", "test"])
@@ -214,7 +202,7 @@ def test_gas_step_rejects_batch_without_train_nodes():
     state = fresh_state(ds, dims)
     batch = make_batch_from_nodes(g_norm, np.array([5, 6]))
     with pytest.raises(ValueError, match="no training nodes"):
-        train_step_gas(batch, state, ds)
+        train_step_gas(batch, state, ds, g_norm.matmul(ds.features))
 
 
 def test_second_step_reads_rows_pushed_by_first():
@@ -224,17 +212,18 @@ def test_second_step_reads_rows_pushed_by_first():
     state = fresh_state(ds, dims)
     b0 = make_batch_from_nodes(g_norm, np.array([0]))
     b1 = make_batch_from_nodes(g_norm, np.array([1]))
+    ax = g_norm.matmul(ds.features)
 
-    hs0, _, _ = batch_forward_with_history(b0, ds.features, state.params,
+    hs0, _, _ = batch_forward_with_history(b0, ax, state.params,
                                            state.history, push=False, step=0)
-    train_step_gas(b0, state, ds)
+    train_step_gas(b0, state, ds, ax)
     stored, cold = state.history.pull(1, np.array([0]))
     assert cold == 0
     assert np.array_equal(stored, hs0[0].astype(np.float32))
     # at the start of the second step the row is stale by exactly one update
     stats = persistence_stats(state.history, now=state.model_step)
     assert stats[0].max == 1
-    train_step_gas(b1, state, ds)
+    train_step_gas(b1, state, ds, ax)
     assert state.model_step == 2
 
 
@@ -246,7 +235,7 @@ def test_refresh_pass_never_touches_parameters():
     state = fresh_state(ds, dims)
     before = state.params.flat().copy()
     batches = [make_batch(g_norm, part, [c]) for c in range(4)]
-    rest_refresh_pass(batches, state, ds)
+    rest_refresh_pass(batches, state, g_norm.matmul(ds.features))
     assert np.array_equal(state.params.flat(), before)
     assert state.model_step == 0
     stats = persistence_stats(state.history, now=0)
@@ -258,7 +247,7 @@ def test_refresh_pass_empty_list_is_noop():
     dims = [ds.num_features, 6, ds.num_classes]
     state = fresh_state(ds, dims)
     snap = clone_state(state)
-    rest_refresh_pass([], state, ds)
+    rest_refresh_pass([], state, None)
     assert np.array_equal(state.params.flat(), snap.params.flat())
     assert np.array_equal(state.history.last_update, snap.history.last_update)
 
@@ -269,7 +258,7 @@ def test_refresh_updates_only_named_cluster():
     part = partition_graph(ds.graph, 4, seed=5)
     dims = [ds.num_features, 6, ds.num_classes]
     state = fresh_state(ds, dims)
-    rest_refresh_pass([make_batch(g_norm, part, [2])], state, ds)
+    rest_refresh_pass([make_batch(g_norm, part, [2])], state, g_norm.matmul(ds.features))
     touched = np.flatnonzero(state.history.last_update[:, 0] != -1)
     assert np.array_equal(touched, part.clusters[2])
 
@@ -321,8 +310,9 @@ def test_importance_refresh_makes_read_rows_fresh():
     grad_batch = make_batch_from_nodes(g_norm, np.array([1]))
     sel = rest_is_refresh_selection(grad_batch, g_norm, 1, Rng(1))
     assert np.array_equal(sel[0].in_batch, [0, 2])
-    rest_refresh_pass(sel, state, ds)
-    hs, _, cold = batch_forward_with_history(grad_batch, ds.features, state.params,
+    ax = g_norm.matmul(ds.features)
+    rest_refresh_pass(sel, state, ax)
+    hs, _, cold = batch_forward_with_history(grad_batch, ax, state.params,
                                              state.history, push=False, step=0)
     assert cold == 0
     ref = dense_forward(dense_norm_adj(ds.graph), ds.features, state.params)
@@ -345,14 +335,15 @@ def test_history_rows_are_constants_in_backward():
 
     batch = make_batch(g_norm, part, [1])
     assert len(batch.halo) > 0
-    hs, cache, _ = batch_forward_with_history(batch, ds.features, params, table,
+    ax = g_norm.matmul(ds.features)
+    hs, cache, _ = batch_forward_with_history(batch, ax, params, table,
                                               push=False, step=0)
     mask = ds.train_mask[batch.in_batch]
     _, dlog = loss_and_grad(hs[-1], ds.labels[batch.in_batch], mask)
     analytic, _ = backward(cache, dlog, params)
 
     def frozen_loss(p):
-        out, _, _ = batch_forward_with_history(batch, ds.features, p, table,
+        out, _, _ = batch_forward_with_history(batch, ax, p, table,
                                                push=False, step=0)
         return loss_and_grad(out[-1], ds.labels[batch.in_batch], mask)[0]
 
@@ -367,7 +358,7 @@ def test_history_rows_are_constants_in_backward():
         t2 = HistoryTable(ds.graph.num_nodes, dims[1:-1])
         out_full, _ = full_forward(g_norm, ds.features, p)
         t2.push(1, np.arange(ds.graph.num_nodes), out_full[0], step=0)
-        out, _, _ = batch_forward_with_history(batch, ds.features, p, t2,
+        out, _, _ = batch_forward_with_history(batch, ax, p, t2,
                                                push=False, step=0)
         return loss_and_grad(out[-1], ds.labels[batch.in_batch], mask)[0]
 
@@ -415,6 +406,18 @@ def test_run_training_plans_schedule_once(monkeypatch):
     assert len(calls) == 1  # every epoch repeats the one plan
 
 
+def test_run_training_rejects_oversized_batch_before_any_work(monkeypatch):
+    ds = small_dataset(seed=24)
+    part = partition_graph(ds.graph, 4, seed=6)
+
+    def no_work(*a, **kw):
+        raise AssertionError("normalized before the schedule was checked")
+
+    monkeypatch.setattr(trainer, "normalize_adjacency", no_work)
+    with pytest.raises(ValueError, match="clusters_per_batch"):
+        run_training(TrainConfig(mode="gas", clusters_per_batch=9, hidden=4), ds, part)
+
+
 def test_full_mode_probe_skips_oracle_forward(monkeypatch):
     ds = small_dataset(seed=19)
     part = partition_graph(ds.graph, 4, seed=2)
@@ -424,7 +427,8 @@ def test_full_mode_probe_skips_oracle_forward(monkeypatch):
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
     run_training(TrainConfig(mode="full", epochs=3, hidden=4, seed=1,
                              probe_every=1), ds, part)
-    assert len(calls) == 3  # one evaluate per step, none for the probe
+    # step 0's gradient forward, then one evaluate per step; none for the probe
+    assert len(calls) == 4
 
 
 def count_whole_graph_forwards(monkeypatch, n):
@@ -453,28 +457,22 @@ def test_full_mode_shares_evaluate_forward_with_next_step(monkeypatch):
     calls = count_whole_graph_forwards(monkeypatch, ds.graph.num_nodes)
     run_training(TrainConfig(mode="full", epochs=5, hidden=4, seed=1), ds, part)
     # step 0's gradient forward, then one evaluate per step whose forward is
-    # also the next step's gradient forward: E + 1, not 2E
-    assert calls == ["batch"] + ["full_forward"] * 5
-    calls.clear()
-    run_training(TrainConfig(mode="full", epochs=5, hidden=4, seed=1, dropout=0.3),
-                 ds, part)
-    # a dropped-out gradient forward is not evaluate's forward
-    assert calls == ["batch", "full_forward"] * 5
+    # also the next step's gradient forward: E + 1, not 2E, and never a batch
+    # forward
+    assert calls == ["full_forward"] * 6
 
 
 def test_probe_reuses_evaluate_forward(monkeypatch):
     ds = small_dataset(seed=19)
     part = partition_graph(ds.graph, 4, seed=2)
     calls = count_whole_graph_forwards(monkeypatch, ds.graph.num_nodes)
-    for dropout in (0.0, 0.3):
-        calls.clear()
-        records, _ = run_training(TrainConfig(mode="rest", epochs=2, hidden=4, seed=1,
-                                              probe_every=1, dropout=dropout), ds, part)
-        # the probe opening step 0 runs the only forward evaluate did not:
-        # S + 1 oracle forwards over S steps, not 2S
-        assert len(records) == 8
-        assert calls == ["full_forward"] * 9
-        assert all(not np.isnan(r.apx_err).any() for r in records)
+    records, _ = run_training(TrainConfig(mode="rest", epochs=2, hidden=4, seed=1,
+                                          probe_every=1), ds, part)
+    # the probe opening step 0 runs the only forward evaluate did not:
+    # S + 1 oracle forwards over S steps, not 2S
+    assert len(records) == 8
+    assert calls == ["full_forward"] * 9
+    assert all(not np.isnan(r.apx_err).any() for r in records)
 
 
 def test_full_mode_has_no_staleness():
@@ -554,20 +552,6 @@ def test_divergence_aborts_with_checkpoint_dump(tmp_path):
                 run_training(cfg, ds, part, dump_prefix=prefix)
         assert (tmp_path / f"{mode}_diverged.ckpt").exists(), mode
         assert (tmp_path / f"{mode}_history_l1.bin").exists(), mode
-
-
-def test_dropout_is_seeded_and_changes_training():
-    ds = small_dataset(seed=27)
-    part = partition_graph(ds.graph, 4, seed=8)
-    cfg = TrainConfig(mode="gas", epochs=2, hidden=5, seed=4, dropout=0.3,
-                      probe_every=1)
-    rec_a, par_a = run_training(cfg, ds, part)
-    rec_b, par_b = run_training(cfg, ds, part)
-    assert np.array_equal(par_a.flat(), par_b.flat())
-    assert rec_a == rec_b
-    _, par_c = run_training(
-        TrainConfig(mode="gas", epochs=2, hidden=5, seed=4, dropout=0.0), ds, part)
-    assert not np.array_equal(par_a.flat(), par_c.flat())
 
 
 def test_config_validation():
