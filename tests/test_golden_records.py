@@ -29,17 +29,20 @@ GOLDEN_PATH = Path(__file__).with_name("golden_records.json")
 
 def cases() -> dict[str, tuple[int, dict]]:
     """Case id -> (number of parts, TrainConfig overrides). The ids keep the
-    `drop0.0` of the grid they were recorded in, when input dropout was one
-    of its axes, so the pinned file and the test ids stay as recorded."""
+    grid they were recorded in, when input dropout was one of its axes. With
+    dropout deleted, the `drop0.3` arm runs the same cases with weight decay
+    0.3, the regularizer that remains; the `drop0.0` arm runs neither."""
     out = {}
-    for mode, probe, parts in itertools.product(
-            ("full", "gas", "rest", "rest_is"), (0, 1, 3), (1, 4)):
-        out[f"{mode}-drop0.0-probe{probe}-parts{parts}"] = (
-            parts, dict(mode=mode, probe_every=probe))
+    for mode, decay, probe, parts in itertools.product(
+            ("full", "gas", "rest", "rest_is"), (0.0, 0.3), (0, 1, 3), (1, 4)):
+        out[f"{mode}-drop{decay}-probe{probe}-parts{parts}"] = (
+            parts, dict(mode=mode, weight_decay=decay, probe_every=probe))
     out["rest-3layer-cpb2"] = (4, dict(mode="rest", num_layers=3,
                                        clusters_per_batch=2, probe_every=1))
     # full mode's shared whole-graph forward through two masked hidden layers
-    out["full-3layer-drop0.0"] = (4, dict(mode="full", num_layers=3))
+    for decay in (0.0, 0.3):
+        out[f"full-3layer-drop{decay}"] = (4, dict(mode="full", num_layers=3,
+                                                  weight_decay=decay))
     return out
 
 
