@@ -67,8 +67,8 @@ def bound_check_instance(seed: int, n: int = 50, num_layers: int = 2,
     run_logits = np.zeros_like(oracle_hs[-1])
     for c in range(part.num_parts):
         batch = make_batch(g_norm, part, [c])
-        hs, _, _ = batch_forward_with_history(batch, ax, params, table,
-                                              push=False, step=0)
+        hs, _ = batch_forward_with_history(batch, ax, params, table,
+                                           push=False, step=0)
         run_logits[batch.in_batch] = hs[-1]
 
     _, d_stale = loss_and_grad(run_logits, ds.labels, ds.train_mask)

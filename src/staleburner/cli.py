@@ -7,19 +7,20 @@ Recognized keys:
                    p_out=..[,d_in=..][,seed=..]   (required for train)
     parts          cluster count for the partitioner (default 1)
     mode           full | gas | rest | rest_is
-    F              refresh forwards per gradient step (rest, rest_is)
+    F              refresh batches per gradient step (rest only; rest_is
+                   refreshes each gradient batch's halo in one forward)
     c              clusters per batch
     epochs, seed
-    lr, weight_decay, beta1, beta2, adam_eps
+    lr, weight_decay   Adam runs at beta1 0.9, beta2 0.999, eps 1e-8
     hidden, layers
     warmup_refresh 0|1    one gradient-free whole-graph refresh before training
     probe_every    approximation-error probe cadence in steps (0 = off)
     timing         0|1    record real wall-clock ms (off keeps runs bit-reproducible)
 
 Refresh batches run one after another, and every epoch repeats one
-round-robin plan. Unknown keys are rejected; a key left out keeps its
-TrainConfig default. The STALEBURNER_SEED environment variable, when set,
-overrides the config seed.
+round-robin plan. Unknown keys are rejected, the deleted beta1, beta2 and
+adam_eps among them; a key left out keeps its TrainConfig default. The
+STALEBURNER_SEED environment variable, when set, overrides the config seed.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def _flag(text: str) -> bool:
 _CONFIG_KEYS = {
     "dataset": str, "parts": int, "mode": str, "F": int, "c": int,
     "epochs": int, "seed": int, "lr": float, "weight_decay": float,
-    "beta1": float, "beta2": float, "adam_eps": float, "hidden": int,
-    "layers": int, "warmup_refresh": _flag, "probe_every": int, "timing": _flag,
+    "hidden": int, "layers": int, "warmup_refresh": _flag, "probe_every": int,
+    "timing": _flag,
 }
 # config keys named differently from their TrainConfig field
 _FIELD_OF = {"F": "refresh_per_step", "c": "clusters_per_batch",

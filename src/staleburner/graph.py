@@ -455,6 +455,13 @@ _MASK_NAMES = ("train", "val", "test")
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
+    """Write the on-disk format that `load_dataset` reads. masks.csv names
+    one split per node, so a node in no mask is refused before any file is
+    written: it would load back as a test node."""
+    unmasked = np.flatnonzero(~(ds.train_mask | ds.val_mask | ds.test_mask))
+    if len(unmasked):
+        raise DatasetError(f"node {unmasked[0]} is in no mask; "
+                           "masks.csv can only write train, val or test")
     os.makedirs(path, exist_ok=True)
     g = ds.graph
     with open(os.path.join(path, "edges.tsv"), "w") as f:

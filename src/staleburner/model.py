@@ -253,17 +253,18 @@ def _backward_rows(dh: np.ndarray, h: np.ndarray | None, dz: np.ndarray,
 
 
 class Adam:
-    """Adam with optional L2 weight decay folded into the gradient.
+    """Adam with optional L2 weight decay folded into the gradient, at the
+    standard moment decays and epsilon.
 
     Deterministic: state is a pure function of the gradient sequence.
     """
 
-    def __init__(self, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, lr: float = 0.001, weight_decay: float = 0.0):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m: list[np.ndarray] | None = None
@@ -279,16 +280,16 @@ class Adam:
             self._m = [np.zeros_like(p) for p in tensors]
             self._v = [np.zeros_like(p) for p in tensors]
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for i, (p, g) in enumerate(zip(tensors, gs)):
             if self.weight_decay and i < len(params.weights):
                 g = g + self.weight_decay * p
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
+            self._m[i] = self.BETA1 * self._m[i] + (1.0 - self.BETA1) * g
+            self._v[i] = self.BETA2 * self._v[i] + (1.0 - self.BETA2) * (g * g)
             m_hat = self._m[i] / bc1
             v_hat = self._v[i] / bc2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:

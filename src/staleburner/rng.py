@@ -1,10 +1,9 @@
 """Deterministic pseudo-random streams.
 
 Every random choice in this package (graph synthesis, mask splits, partition
-tie-breaks, epoch schedules, weight init, importance refresh splits) flows
-from a single root seed through named substreams, so identical inputs
-reproduce identical results bit for bit, independent of numpy version or
-platform.
+tie-breaks, epoch schedules, weight init) flows from a single root seed
+through named substreams, so identical inputs reproduce identical results
+bit for bit, independent of numpy version or platform.
 
 Generator: xoshiro256** with its four state words filled from splitmix64, the
 combination recommended by the generators' reference implementations. Single

@@ -6,8 +6,9 @@ Modes:
              memory table; each step pushes its fresh in-batch rows
   rest       gas plus F gradient-free forward passes per step that refresh
              additional table rows before the gradient batch reads them
-  rest_is    rest whose refresh set is the gradient batch's own halo, so the
-             rows about to be read are refreshed first
+  rest_is    gas plus one gradient-free forward per step over the gradient
+             batch's own halo, so the rows about to be read are refreshed
+             first (F is not read)
 
 Every mode runs the same step: a refresh pass over the step's refresh batches
 (none for full and gas), then one gradient step that pushes its in-batch rows
@@ -39,7 +40,7 @@ from .model import (Adam, GcnParams, LayerCache, backward,
                     full_forward, init_params, layer_apply, loss_and_grad)
 from .partition import (MiniBatch, Partition, ScheduleStep, make_batch,
                         make_batch_from_nodes, schedule_epoch)
-from .rng import Rng, derive_seed
+from .rng import derive_seed
 
 log = logging.getLogger(__name__)
 
@@ -49,15 +50,12 @@ MODES = ("full", "gas", "rest", "rest_is")
 @dataclass
 class TrainConfig:
     mode: str = "rest"
-    refresh_per_step: int = 1        # forward-only refresh batches per gradient step
+    refresh_per_step: int = 1        # rest's refresh batches per gradient step
     clusters_per_batch: int = 1
     epochs: int = 1
     seed: int = 0
     lr: float = 0.001
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     hidden: int = 128
     num_layers: int = 2
     warmup_refresh: bool = False
@@ -69,8 +67,6 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.refresh_per_step < 0:
             raise ValueError("refresh_per_step must be >= 0")
-        if self.mode == "rest_is" and self.refresh_per_step < 1:
-            raise ValueError("rest_is needs refresh_per_step >= 1")
         if self.clusters_per_batch < 1:
             raise ValueError("clusters_per_batch must be >= 1")
         if self.probe_every < 0:
@@ -91,7 +87,7 @@ class TrainState:
 def batch_forward_with_history(batch: MiniBatch, ax: np.ndarray,
                                params: GcnParams, history: HistoryTable,
                                push: bool, step: int
-                               ) -> tuple[list[np.ndarray], LayerCache, int]:
+                               ) -> tuple[list[np.ndarray], LayerCache]:
     """Forward over a batch, memory rows standing in for halo neighbors.
 
     Layer 1's aggregation is the batch's rows of ax, the whole-graph product
@@ -100,12 +96,11 @@ def batch_forward_with_history(batch: MiniBatch, ax: np.ndarray,
     bit-identical. Deeper layers aggregate the freshly computed in-batch rows
     plus table rows for the halo. With push=True each computed in-batch
     hidden layer is written back at `step`. Returns the per-layer in-batch
-    outputs, the backward cache, and how many pulled rows were never written.
+    outputs and the backward cache.
     """
     L = params.num_layers
     nb = len(batch.in_batch)
     cache = LayerCache(adj=batch.local_adj, num_in_batch=nb)
-    cold_total = 0
     inputs = h = None
     for l in range(L):
         agg, _, h = layer_apply(batch.local_adj, inputs, params.weights[l],
@@ -117,16 +112,14 @@ def batch_forward_with_history(batch: MiniBatch, ax: np.ndarray,
             if push:
                 history.push(l + 1, batch.in_batch, h, step)
             if len(batch.halo):
-                halo_rows, cold = history.pull(l + 1, batch.halo)
-                cold_total += cold
                 inputs = np.empty((nb + len(batch.halo), h.shape[1]))
                 inputs[:nb] = h
-                inputs[nb:] = halo_rows
+                inputs[nb:] = history.pull(l + 1, batch.halo)[0]
             else:
                 inputs = h
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("non-finite output in batch forward")
-    return cache.hs, cache, cold_total
+    return cache.hs, cache
 
 
 def train_step_gas(batch: MiniBatch, state: TrainState, ds: Dataset,
@@ -145,7 +138,7 @@ def train_step_gas(batch: MiniBatch, state: TrainState, ds: Dataset,
             f"no training nodes in batch of {len(batch.in_batch)} nodes "
             f"(first id {batch.in_batch[0]})")
     if forward is None:
-        hs, cache, _ = batch_forward_with_history(
+        hs, cache = batch_forward_with_history(
             batch, ax, state.params, state.history, push=True, step=state.model_step)
     elif len(batch.halo) or forward.num_in_batch != len(batch.in_batch):
         raise ValueError("a whole-graph forward can only stand in for the whole graph")
@@ -168,28 +161,20 @@ def rest_refresh_pass(batches: list[MiniBatch], state: TrainState,
                                    push=True, step=state.model_step)
 
 
-def rest_is_refresh_selection(grad_batch: MiniBatch, g_norm: NormAdj,
-                              refresh_per_step: int, rng: Rng) -> list[MiniBatch]:
-    """Refresh batches covering exactly the gradient batch's halo.
+def rest_is_refresh_selection(grad_batch: MiniBatch,
+                              g_norm: NormAdj) -> list[MiniBatch]:
+    """One refresh batch whose in-batch nodes are the gradient batch's halo.
 
-    The nodes whose rows the upcoming gradient step will read become the
-    in-batch nodes of the refresh batches (split into refresh_per_step
-    seeded, balanced chunks), so they are recomputed from their own
-    neighborhoods and pushed before being read. With no halo (single-cluster
-    partition) there is nothing to refresh.
+    The nodes whose rows the upcoming gradient step will read are recomputed
+    from their own neighborhoods in one forward and pushed before being
+    read. With no halo (single-cluster partition) there is nothing to
+    refresh.
     """
-    if refresh_per_step < 1:
-        raise ValueError("refresh_per_step must be >= 1")
-    halo = grad_batch.halo
-    if len(halo) == 0:
+    if len(grad_batch.halo) == 0:
         log.warning("gradient batch has no out-of-batch neighbors; "
                     "importance refresh degenerates to plain history fill")
         return []
-    order = list(range(len(halo)))
-    rng.shuffle(order)
-    shuffled = halo[np.array(order, dtype=np.int64)]
-    chunks = np.array_split(shuffled, min(refresh_per_step, len(halo)))
-    return [make_batch_from_nodes(g_norm, chunk) for chunk in chunks if len(chunk)]
+    return [make_batch_from_nodes(g_norm, grad_batch.halo)]
 
 
 def evaluate(g_norm: NormAdj, ds: Dataset, params: GcnParams,
@@ -226,7 +211,7 @@ def _probe_apx_errors(state: TrainState, chunk_batches: list[MiniBatch], mode: s
     table_errs = approximation_error(state.history, oracle_hs)
     run_logits = np.zeros_like(oracle_hs[-1])
     for batch in chunk_batches:
-        hs, _, _ = batch_forward_with_history(
+        hs, _ = batch_forward_with_history(
             batch, ax, state.params, state.history,
             push=False, step=state.model_step)
         run_logits[batch.in_batch] = hs[-1]
@@ -272,9 +257,9 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     memory = cfg.mode != "full"
     whole_ids = tuple(range(part.num_parts))
     # one plan serves every epoch; only rest refreshes scheduled clusters (gas
-    # runs none whatever F its config carries, rest_is picks its own per
-    # step). Planned first, so a batch size the partition cannot fill fails
-    # before any work
+    # runs none whatever F its config carries, rest_is refreshes each
+    # gradient batch's halo). Planned first, so a batch size the partition
+    # cannot fill fails before any work
     if memory:
         steps = schedule_epoch(part, cfg.clusters_per_batch,
                                cfg.refresh_per_step if cfg.mode == "rest" else 0,
@@ -291,8 +276,7 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     # never-written table would, every hidden row cold
     state = TrainState(
         params=init_params(dims, derive_seed(cfg.seed, "init")),
-        adam=Adam(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                  eps=cfg.adam_eps, weight_decay=cfg.weight_decay),
+        adam=Adam(lr=cfg.lr, weight_decay=cfg.weight_decay),
         history=HistoryTable(n, dims[1:-1] if memory else []),
     )
     cold_stats = [LayerPersistence(mean=0.0, max=0, cold=n)] * (cfg.num_layers - 1)
@@ -300,7 +284,6 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     # instead of aggregating. Full mode aggregates X inside its whole-graph
     # forward: a persistent n x d_in float64 array would only raise its peak
     ax = g_norm.matmul(ds.features) if memory else None
-    is_rng = Rng(derive_seed(cfg.seed, "importance"))
     batch_cache: dict[tuple[int, ...], MiniBatch] = {
         whole_ids: MiniBatch(in_batch=np.arange(n, dtype=np.int64),
                              halo=np.empty(0, dtype=np.int64), local_adj=g_norm)}
@@ -346,8 +329,7 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
                 apx = tuple([float("nan")] * cfg.num_layers)
             grad_batch = cluster_batch(st.grad)
             if cfg.mode == "rest_is":
-                refresh = rest_is_refresh_selection(grad_batch, g_norm,
-                                                    cfg.refresh_per_step, is_rng)
+                refresh = rest_is_refresh_selection(grad_batch, g_norm)
             else:
                 refresh = [cluster_batch(c) for c in st.refresh]
             try:

@@ -103,10 +103,12 @@ def test_unknown_flag_exits_2(tmp_path, capsys):
     assert len([l for l in stderr.strip().splitlines() if l.startswith("error")]) == 1
 
 
-# refresh_mode, sampler, parallel_refresh and dropout were keys once; a stale
-# config that still sets them is rejected, not silently run with the defaults
+# refresh_mode, sampler, parallel_refresh, dropout, beta1, beta2 and adam_eps
+# were keys once; a stale config that still sets them is rejected, not
+# silently run with the defaults
 @pytest.mark.parametrize("key", ["batchsize", "refresh_mode", "sampler",
-                                 "parallel_refresh", "dropout"])
+                                 "parallel_refresh", "dropout", "beta1", "beta2",
+                                 "adam_eps"])
 def test_unknown_config_key_fails(tmp_path, capsys, key):
     path = tmp_path / "bad.cfg"
     path.write_text(f"mode=rest\n{key}=4\n")
@@ -141,13 +143,11 @@ def test_config_keys_land_on_train_config_fields(tmp_path, monkeypatch):
     path = tmp_path / "c.cfg"
     path.write_text("dataset=sbm:blocks=2,nodes_per_block=5,p_in=0.5,p_out=0.1\n"
                     "parts=3\nmode=rest_is\nF=3\nc=2\nepochs=4\nseed=7\n"
-                    "lr=0.02\nweight_decay=0.001\nbeta1=0.8\nbeta2=0.99\n"
-                    "adam_eps=1e-6\nhidden=9\nlayers=3\nwarmup_refresh=1\n"
-                    "probe_every=2\ntiming=1\n")
+                    "lr=0.02\nweight_decay=0.001\nhidden=9\nlayers=3\n"
+                    "warmup_refresh=1\nprobe_every=2\ntiming=1\n")
     want = TrainConfig(mode="rest_is", refresh_per_step=3, clusters_per_batch=2,
-                       epochs=4, seed=7, lr=0.02, weight_decay=0.001, beta1=0.8,
-                       beta2=0.99, adam_eps=1e-6, hidden=9, num_layers=3,
-                       warmup_refresh=True, probe_every=2, timing=True)
+                       epochs=4, seed=7, lr=0.02, weight_decay=0.001, hidden=9,
+                       num_layers=3, warmup_refresh=True, probe_every=2, timing=True)
     got = train_config_from(parse_config(str(path)))
     assert got == want
     # every field was set away from its default, so none was left behind

@@ -39,6 +39,9 @@ def cases() -> dict[str, tuple[int, dict]]:
             parts, dict(mode=mode, weight_decay=decay, probe_every=probe))
     out["rest-3layer-cpb2"] = (4, dict(mode="rest", num_layers=3,
                                        clusters_per_batch=2, probe_every=1))
+    # rest_is at 3 layers, where its refresh forward computes layer 2 from
+    # the layer-1 rows it has just computed
+    out["rest_is-3layer"] = (4, dict(mode="rest_is", num_layers=3, probe_every=1))
     # full mode's shared whole-graph forward through two masked hidden layers
     for decay in (0.0, 0.3):
         out[f"full-3layer-drop{decay}"] = (4, dict(mode="full", num_layers=3,

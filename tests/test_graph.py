@@ -142,6 +142,16 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(back.test_mask, ds.test_mask)
 
 
+def test_save_dataset_refuses_node_in_no_mask(tmp_path):
+    ds = sbm_generate(3, 15, 0.5, 0.05, d_in=4, seed=21)
+    first, second = np.flatnonzero(ds.test_mask)[:2]
+    ds.test_mask[[first, second]] = False
+    ds.validate()  # a node in no mask is a valid dataset
+    with pytest.raises(DatasetError, match=f"node {first} is in no mask"):
+        save_dataset(ds, str(tmp_path / "d"))
+    assert not (tmp_path / "d").exists()
+
+
 def test_sbm_graph_invariants():
     for seed in range(5):
         ds = sbm_generate(4, 30, 0.2, 0.02, seed=seed)

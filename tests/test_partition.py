@@ -6,7 +6,6 @@ import pytest
 from staleburner.graph import csr_from_edges, normalize_adjacency, sbm_generate
 from staleburner.partition import (make_batch, make_batch_from_nodes,
                                    partition_graph, schedule_epoch)
-from staleburner.rng import Rng
 from staleburner.trainer import rest_is_refresh_selection
 
 from conftest import clique_union, dense_norm_adj, path_graph
@@ -148,8 +147,8 @@ def test_batch_arrays_match_loop_reference():
     g_norm = normalize_adjacency(ds.graph)
     part = partition_graph(ds.graph, 6, seed=2)
     grad = make_batch(g_norm, part, [1, 4])
-    halo_batches = rest_is_refresh_selection(grad, g_norm, 2, Rng(3))
-    assert len(halo_batches) == 2
+    halo_batches = rest_is_refresh_selection(grad, g_norm)
+    assert len(halo_batches) == 1
     for batch in [grad] + halo_batches:
         halo, row_ptr, col_idx, values = batch_from_nodes_loop_reference(
             g_norm, batch.in_batch)

@@ -7,7 +7,8 @@ import pytest
 
 from staleburner import trainer
 from staleburner.graph import normalize_adjacency, sbm_generate
-from staleburner.history import HistoryTable, persistence_stats
+from staleburner.history import NEVER, HistoryTable, persistence_stats
+from staleburner.metrics import format_record
 from staleburner.model import (Adam, accuracy, backward, full_forward, init_params,
                                loss_and_grad)
 from staleburner.partition import (MiniBatch, Partition, make_batch,
@@ -16,7 +17,7 @@ from staleburner.trainer import (TrainConfig, TrainState,
                                  batch_forward_with_history, evaluate,
                                  rest_is_refresh_selection, rest_refresh_pass,
                                  run_training, train_step_gas)
-from staleburner.rng import Rng, derive_seed
+from staleburner.rng import derive_seed
 
 from conftest import dense_forward, dense_norm_adj, max_rel_err, path_graph
 
@@ -63,10 +64,10 @@ def test_whole_graph_batch_equals_full_forward_bitwise():
     dims = [ds.num_features, 6, ds.num_classes]
     params = init_params(dims, seed=2)
     table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
-    hs_batch, _, cold = batch_forward_with_history(batch, g_norm.matmul(ds.features),
-                                                   params, table, push=False, step=0)
+    hs_batch, _ = batch_forward_with_history(batch, g_norm.matmul(ds.features),
+                                             params, table, push=False, step=0)
     hs_full, _ = full_forward(g_norm, ds.features, params)
-    assert cold == 0
+    assert len(batch.halo) == 0  # the whole graph reads no table row
     for a, b in zip(hs_batch, hs_full):
         assert np.array_equal(a, b)
 
@@ -81,9 +82,9 @@ def test_fresh_table_reproduces_full_forward():
     table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
     table.push(1, np.arange(ds.graph.num_nodes), hs_full[0], step=0)
     batch = make_batch(g_norm, part, [1])
-    hs_batch, _, cold = batch_forward_with_history(batch, g_norm.matmul(ds.features),
-                                                   params, table, push=False, step=0)
-    assert cold == 0
+    hs_batch, _ = batch_forward_with_history(batch, g_norm.matmul(ds.features),
+                                             params, table, push=False, step=0)
+    assert len(batch.halo) and np.all(table.last_update[batch.halo, 0] == 0)
     assert np.allclose(hs_batch[-1], hs_full[-1][batch.in_batch], atol=1e-6)
 
 
@@ -95,9 +96,10 @@ def test_zero_init_table_matches_masked_dense_oracle():
     params = init_params(dims, seed=6)
     batch = make_batch(g_norm, part, [2])
     table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
-    hs_batch, _, cold = batch_forward_with_history(batch, g_norm.matmul(ds.features),
-                                                   params, table, push=False, step=0)
-    assert cold == len(batch.halo) * 2  # two hidden layers pulled cold
+    hs_batch, _ = batch_forward_with_history(batch, g_norm.matmul(ds.features),
+                                             params, table, push=False, step=0)
+    # both hidden layers pull halo rows that were never written
+    assert len(batch.halo) and np.all(table.last_update[batch.halo] == NEVER)
 
     # dense oracle: halo rows contribute raw features at layer 1 and zeros at
     # deeper layers
@@ -121,8 +123,8 @@ def test_batch_forward_pushes_at_step():
     params = init_params(dims, seed=7)
     table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
     batch = make_batch(g_norm, part, [0])
-    hs, _, _ = batch_forward_with_history(batch, g_norm.matmul(ds.features), params,
-                                          table, push=True, step=4)
+    hs, _ = batch_forward_with_history(batch, g_norm.matmul(ds.features), params,
+                                       table, push=True, step=4)
     got, cold = table.pull(1, batch.in_batch)
     assert cold == 0
     assert np.array_equal(got, hs[0].astype(np.float32))
@@ -142,11 +144,11 @@ def test_ax_rows_equal_batch_aggregation_bitwise():
     grad_batch = make_batch(g_norm, part, [2])
     batches = [make_batch(g_norm, part, [0]),
                make_batch(g_norm, part, [1, 3]),
-               *rest_is_refresh_selection(grad_batch, g_norm, 2, Rng(4)),
+               *rest_is_refresh_selection(grad_batch, g_norm),
                make_batch(g_norm, part, [0, 1, 2, 3]),
                MiniBatch(in_batch=np.arange(n), halo=np.empty(0, dtype=np.int64),
                          local_adj=g_norm)]
-    assert len(batches) == 6
+    assert len(batches) == 5
     for b in batches:
         local = np.concatenate([b.in_batch, b.halo])
         ref = b.local_adj.matmul(ds.features[local].astype(np.float64))
@@ -170,8 +172,8 @@ def test_batch_forward_with_ax_is_bitwise_identical():
         batch = make_batch(g_norm, part, ids)
         table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
         table.push(1, np.arange(ds.graph.num_nodes), hs_full[0], step=0)
-        _, cache, _ = batch_forward_with_history(batch, ax, params, table,
-                                                 push=True, step=1)
+        _, cache = batch_forward_with_history(batch, ax, params, table,
+                                              push=True, step=1)
         local = np.concatenate([batch.in_batch, batch.halo])
         assert np.array_equal(cache.aggs[0],
                               batch.local_adj.matmul(ds.features[local].astype(np.float64)))
@@ -214,8 +216,8 @@ def test_second_step_reads_rows_pushed_by_first():
     b1 = make_batch_from_nodes(g_norm, np.array([1]))
     ax = g_norm.matmul(ds.features)
 
-    hs0, _, _ = batch_forward_with_history(b0, ax, state.params,
-                                           state.history, push=False, step=0)
+    hs0, _ = batch_forward_with_history(b0, ax, state.params,
+                                        state.history, push=False, step=0)
     train_step_gas(b0, state, ds, ax)
     stored, cold = state.history.pull(1, np.array([0]))
     assert cold == 0
@@ -271,7 +273,7 @@ def test_importance_selection_empty_without_halo(caplog):
     part = partition_graph(ds.graph, 1, seed=0)
     batch = make_batch(g_norm, part, [0])
     with caplog.at_level(logging.WARNING):
-        got = rest_is_refresh_selection(batch, g_norm, 2, Rng(0))
+        got = rest_is_refresh_selection(batch, g_norm)
     assert got == []
     assert "degenerates" in caplog.text
 
@@ -281,11 +283,9 @@ def test_importance_selection_covers_halo_once():
     g_norm = normalize_adjacency(ds.graph)
     part = partition_graph(ds.graph, 4, seed=7)
     batch = make_batch(g_norm, part, [0])
-    for f in (1, 2, 3):
-        sel = rest_is_refresh_selection(batch, g_norm, f, Rng(3))
-        covered = np.sort(np.concatenate([b.in_batch for b in sel]))
-        assert np.array_equal(covered, batch.halo)
-        assert len(sel) == min(f, len(batch.halo))
+    sel = rest_is_refresh_selection(batch, g_norm)
+    assert len(sel) == 1
+    assert np.array_equal(sel[0].in_batch, batch.halo)
 
 
 def test_importance_selection_star_leaves():
@@ -295,9 +295,9 @@ def test_importance_selection_star_leaves():
     g_norm = normalize_adjacency(g)
     batch = make_batch_from_nodes(g_norm, np.array([0]))  # center
     assert np.array_equal(batch.halo, np.arange(1, 7))
-    sel = rest_is_refresh_selection(batch, g_norm, 3, Rng(5))
-    covered = np.sort(np.concatenate([b.in_batch for b in sel]))
-    assert np.array_equal(covered, np.arange(1, 7))
+    sel = rest_is_refresh_selection(batch, g_norm)
+    assert len(sel) == 1
+    assert np.array_equal(sel[0].in_batch, np.arange(1, 7))
 
 
 def test_importance_refresh_makes_read_rows_fresh():
@@ -308,13 +308,13 @@ def test_importance_refresh_makes_read_rows_fresh():
     dims = [3, 4, 2]
     state = fresh_state(ds, dims)
     grad_batch = make_batch_from_nodes(g_norm, np.array([1]))
-    sel = rest_is_refresh_selection(grad_batch, g_norm, 1, Rng(1))
+    sel = rest_is_refresh_selection(grad_batch, g_norm)
     assert np.array_equal(sel[0].in_batch, [0, 2])
     ax = g_norm.matmul(ds.features)
     rest_refresh_pass(sel, state, ax)
-    hs, _, cold = batch_forward_with_history(grad_batch, ax, state.params,
-                                             state.history, push=False, step=0)
-    assert cold == 0
+    hs, _ = batch_forward_with_history(grad_batch, ax, state.params,
+                                       state.history, push=False, step=0)
+    assert np.all(state.history.last_update[grad_batch.halo, 0] == 0)
     ref = dense_forward(dense_norm_adj(ds.graph), ds.features, state.params)
     assert np.allclose(hs[-1][0], ref[-1][1], atol=1e-6)
 
@@ -336,15 +336,15 @@ def test_history_rows_are_constants_in_backward():
     batch = make_batch(g_norm, part, [1])
     assert len(batch.halo) > 0
     ax = g_norm.matmul(ds.features)
-    hs, cache, _ = batch_forward_with_history(batch, ax, params, table,
-                                              push=False, step=0)
+    hs, cache = batch_forward_with_history(batch, ax, params, table,
+                                           push=False, step=0)
     mask = ds.train_mask[batch.in_batch]
     _, dlog = loss_and_grad(hs[-1], ds.labels[batch.in_batch], mask)
     analytic, _ = backward(cache, dlog, params)
 
     def frozen_loss(p):
-        out, _, _ = batch_forward_with_history(batch, ax, p, table,
-                                               push=False, step=0)
+        out, _ = batch_forward_with_history(batch, ax, p, table,
+                                            push=False, step=0)
         return loss_and_grad(out[-1], ds.labels[batch.in_batch], mask)[0]
 
     from conftest import fd_param_grads
@@ -358,8 +358,8 @@ def test_history_rows_are_constants_in_backward():
         t2 = HistoryTable(ds.graph.num_nodes, dims[1:-1])
         out_full, _ = full_forward(g_norm, ds.features, p)
         t2.push(1, np.arange(ds.graph.num_nodes), out_full[0], step=0)
-        out, _, _ = batch_forward_with_history(batch, ax, p, t2,
-                                               push=False, step=0)
+        out, _ = batch_forward_with_history(batch, ax, p, t2,
+                                            push=False, step=0)
         return loss_and_grad(out[-1], ds.labels[batch.in_batch], mask)[0]
 
     fd2 = fd_param_grads(recomputed_loss, params, step=1e-4)
@@ -378,6 +378,19 @@ def test_run_training_zero_epochs():
     assert records == []
     init = init_params([ds.num_features, 4, ds.num_classes], derive_seed(0, "init"))
     assert np.array_equal(params.flat(), init.flat())
+
+
+def test_rest_is_reads_no_refresh_per_step():
+    # at 3 layers a layer-2 push reads layer-1 rows, so a halo refreshed in
+    # several forwards could depend on their order; rest_is runs one
+    ds = small_dataset(seed=10)
+    part = partition_graph(ds.graph, 4, seed=6)
+    runs = [run_training(TrainConfig(mode="rest_is", refresh_per_step=f, num_layers=3,
+                                     epochs=2, hidden=6, seed=3, probe_every=1),
+                         ds, part) for f in (1, 3)]
+    (rec1, par1), (rec3, par3) = runs
+    assert [format_record(r) for r in rec1] == [format_record(r) for r in rec3]
+    assert np.array_equal(par1.flat(), par3.flat())
 
 
 def test_rest_with_no_refresh_equals_gas():
@@ -557,10 +570,10 @@ def test_divergence_aborts_with_checkpoint_dump(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(mode="sgd").validate()
-    with pytest.raises(ValueError):
-        TrainConfig(mode="rest_is", refresh_per_step=0).validate()
-    for bad in (dict(clusters_per_batch=0),
+    for bad in (dict(refresh_per_step=-1),
+                dict(clusters_per_batch=0),
                 dict(probe_every=-1)):
         with pytest.raises(ValueError):
             TrainConfig(**bad).validate()
     TrainConfig(mode="rest", clusters_per_batch=2, probe_every=0).validate()
+    TrainConfig(mode="rest_is", refresh_per_step=0).validate()  # F is rest's
