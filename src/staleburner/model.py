@@ -84,7 +84,8 @@ class LayerCache:
     """Forward intermediates needed by backward: the aggregated inputs, the
     layer outputs (whose signs give the ReLU mask), and the adjacency that
     produced them. `zs` holds the pre-activations only when the forward was
-    asked to keep them; backward never reads it."""
+    asked to keep them; backward never reads it. Backward releases each
+    entry of `aggs` (sets it to None) once it has used it."""
 
     adj: NormAdj
     num_in_batch: int
@@ -152,12 +153,15 @@ def full_forward(adj: NormAdj, features: np.ndarray, params: GcnParams,
     return cache.hs, cache
 
 
-def loss_and_grad(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
-                  ) -> tuple[float, np.ndarray]:
+def loss_and_grad(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
+                  out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over masked rows.
 
     Gradient rows are (softmax - onehot) / mask_count on masked rows and zero
-    elsewhere.
+    elsewhere. They are written to `out` when given, which may be `logits`
+    itself, as numpy's out= arguments: each block reads its own masked rows
+    and writes the same rows back, and no other block touches them, so the
+    gradient can overwrite logits that nothing reads after the loss.
     """
     count = int(np.count_nonzero(mask))
     if count == 0:
@@ -168,12 +172,15 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
     # threads that run them, whose own heaps would keep the freed blocks
     # resident into backward, where a step peaks.
     work = np.empty((count, logits.shape[1]))
-    dlogits = np.zeros_like(logits)
+    if out is None:
+        out = np.zeros_like(logits)
+    else:
+        out[~mask] = 0.0  # rows no block reads
     terms = np.empty(count)  # log-likelihood of each masked row
     bounds = even_blocks(count, LOGIT_WORK * logits.shape[1])
     run_blocks(_softmax_rows, [(logits, labels, ids[a:b], count, work[a:b], terms[a:b],
-                                dlogits) for a, b in zip(bounds[:-1], bounds[1:])])
-    return float(-terms.mean()), dlogits
+                                out) for a, b in zip(bounds[:-1], bounds[1:])])
+    return float(-terms.mean()), out
 
 
 def _softmax_rows(logits: np.ndarray, labels: np.ndarray, ids: np.ndarray,
@@ -207,10 +214,20 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
 
     Returns parameter gradients and, per layer l (1-based list index l-1),
     the loss gradient with respect to the in-batch rows of H^(l).
+
+    Backward consumes the cache's aggregations, as autograd frees the
+    tensors it saved: each is released (set to None) once its weight
+    gradient is taken, so the last layer's is gone before the transpose
+    product allocates its output. A second backward on the same cache
+    raises. The layer outputs `cache.hs` are kept for callers that read
+    them afterwards; `d_out` may be the logits array itself.
     """
     L = params.num_layers
     if len(cache.hs) != L:
         raise ValueError("cache does not match parameter depth")
+    if any(a is None for a in cache.aggs):
+        raise ValueError("cache's aggregations were released by an earlier backward; "
+                         "run a fresh forward")
     if d_out.shape != cache.hs[-1].shape:
         raise ValueError(f"d_out shape {d_out.shape} != logits {cache.hs[-1].shape}")
     nb = cache.num_in_batch
@@ -233,6 +250,7 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
                          None if p is None else p[r0:r1])
                         for r0, r1 in zip(bounds[:-1], bounds[1:])])
         dw[l] = cache.aggs[l].T @ dz
+        cache.aggs[l] = None
         db[l] = dz.sum(axis=0)
         if l == 0:
             break

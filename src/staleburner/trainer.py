@@ -18,9 +18,10 @@ identical full-batch steps when the partition has a single cluster.
 
 Every step ends with a whole-graph evaluate. Its forward is held until the
 parameters change: it is the oracle of the probe that opens the next step
-and, in full mode, the next gradient step's forward. The memory modes compute
-Â·X once per run, so every batch forward gathers layer 1's rows instead of
-aggregating. Records and parameters stay bit-identical.
+and, in full mode, the next gradient step's forward. Every mode computes Â·X
+once per run, so no forward aggregates X: batch forwards gather layer 1's
+rows and whole-graph forwards take it whole. Refresh forwards stop at the
+last layer they push. Records and parameters stay bit-identical.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class TrainState:
 
 def batch_forward_with_history(batch: MiniBatch, ax: np.ndarray,
                                params: GcnParams, history: HistoryTable,
-                               push: bool, step: int
+                               push: bool, step: int, refresh: bool = False
                                ) -> tuple[list[np.ndarray], LayerCache]:
     """Forward over a batch, memory rows standing in for halo neighbors.
 
@@ -95,35 +96,38 @@ def batch_forward_with_history(batch: MiniBatch, ax: np.ndarray,
     CSR order as aggregating the batch's own features, so the result is
     bit-identical. Deeper layers aggregate the freshly computed in-batch rows
     plus table rows for the halo. With push=True each computed in-batch
-    hidden layer is written back at `step`. Returns the per-layer in-batch
-    outputs and the backward cache.
+    hidden layer is written back at `step`. A refresh forward (refresh=True)
+    stops once it has pushed layer L-1: nothing reads its layer L, so that
+    layer's pull, aggregation and transform are skipped, and the non-finite
+    check looks at layer L-1. Returns the per-layer in-batch outputs and the
+    backward cache.
     """
     L = params.num_layers
+    depth = L - 1 if refresh else L
     nb = len(batch.in_batch)
     cache = LayerCache(adj=batch.local_adj, num_in_batch=nb)
     inputs = h = None
-    for l in range(L):
+    for l in range(depth):
+        if l > 0:
+            inputs = h
+            if len(batch.halo):
+                inputs = np.empty((nb + len(batch.halo), h.shape[1]))
+                inputs[:nb] = h
+                inputs[nb:] = history.pull(l, batch.halo)[0]
         agg, _, h = layer_apply(batch.local_adj, inputs, params.weights[l],
                                 params.biases[l], last=(l == L - 1),
                                 agg=ax[batch.in_batch] if l == 0 else None)
         cache.aggs.append(agg)
         cache.hs.append(h)
-        if l < L - 1:
-            if push:
-                history.push(l + 1, batch.in_batch, h, step)
-            if len(batch.halo):
-                inputs = np.empty((nb + len(batch.halo), h.shape[1]))
-                inputs[:nb] = h
-                inputs[nb:] = history.pull(l + 1, batch.halo)[0]
-            else:
-                inputs = h
-    if not np.all(np.isfinite(h)):
+        if push and l < L - 1:
+            history.push(l + 1, batch.in_batch, h, step)
+    if depth and not np.all(np.isfinite(h)):
         raise FloatingPointError("non-finite output in batch forward")
     return cache.hs, cache
 
 
 def train_step_gas(batch: MiniBatch, state: TrainState, ds: Dataset,
-                   ax: np.ndarray | None,
+                   ax: np.ndarray,
                    forward: LayerCache | None = None) -> float:
     """One gradient step on a batch: forward with memory fill, masked loss,
     backward treating pulled rows as constants, optimizer update.
@@ -144,7 +148,8 @@ def train_step_gas(batch: MiniBatch, state: TrainState, ds: Dataset,
         raise ValueError("a whole-graph forward can only stand in for the whole graph")
     else:
         hs, cache = forward.hs, forward
-    loss, dlogits = loss_and_grad(hs[-1], ds.labels[batch.in_batch], mask)
+    # the gradient overwrites the logits, which nothing reads after the loss
+    loss, dlogits = loss_and_grad(hs[-1], ds.labels[batch.in_batch], mask, out=hs[-1])
     grads, _ = backward(cache, dlogits, state.params)
     state.adam.step(state.params, grads)
     state.model_step += 1
@@ -158,7 +163,7 @@ def rest_refresh_pass(batches: list[MiniBatch], state: TrainState,
     reading the rows the previous ones pushed."""
     for batch in batches:
         batch_forward_with_history(batch, ax, state.params, state.history,
-                                   push=True, step=state.model_step)
+                                   push=True, step=state.model_step, refresh=True)
 
 
 def rest_is_refresh_selection(grad_batch: MiniBatch,
@@ -199,7 +204,7 @@ def evaluate(g_norm: NormAdj, ds: Dataset, params: GcnParams,
 
 def _probe_apx_errors(state: TrainState, chunk_batches: list[MiniBatch], mode: str,
                       oracle: Callable[[], LayerCache],
-                      ax: np.ndarray | None) -> tuple[float, ...]:
+                      ax: np.ndarray) -> tuple[float, ...]:
     """Per-layer mean distance between memory/run embeddings and a fresh
     whole-graph forward (`oracle()`, at the current parameters): stored layers
     come straight from the table, the final layer from re-running every batch
@@ -232,15 +237,29 @@ def save_checkpoint(params: GcnParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> GcnParams:
+    """Read a save_checkpoint file. A file whose size does not match the
+    dims in its header, cut short or with trailing bytes, raises
+    ValueError."""
     with open(path, "rb") as f:
-        (L,) = struct.unpack("<I", f.read(4))
-        dims = list(struct.unpack(f"<{L + 1}I", f.read(4 * (L + 1))))
-        weights, biases = [], []
-        for d_in, d_out in zip(dims[:-1], dims[1:]):
-            w = np.frombuffer(f.read(4 * d_in * d_out), dtype="<f4")
-            weights.append(w.reshape(d_in, d_out).astype(np.float64))
-            b = np.frombuffer(f.read(4 * d_out), dtype="<f4")
-            biases.append(b.astype(np.float64))
+        data = f.read()
+    try:
+        (L,) = struct.unpack_from("<I", data)
+        dims = list(struct.unpack_from(f"<{L + 1}I", data, 4))
+    except struct.error:
+        raise ValueError(f"{path}: {len(data)} bytes hold no checkpoint header") from None
+    offset = 4 * (L + 2)
+    expected = offset + 4 * sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+    if len(data) != expected:
+        raise ValueError(f"{path}: a checkpoint of dims {dims} takes {expected} bytes, "
+                         f"the file has {len(data)}")
+    weights, biases = [], []
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
+        w = np.frombuffer(data, dtype="<f4", count=d_in * d_out, offset=offset)
+        offset += 4 * d_in * d_out
+        weights.append(w.reshape(d_in, d_out).astype(np.float64))
+        b = np.frombuffer(data, dtype="<f4", count=d_out, offset=offset)
+        offset += 4 * d_out
+        biases.append(b.astype(np.float64))
     return GcnParams(weights=weights, biases=biases)
 
 
@@ -281,9 +300,8 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     )
     cold_stats = [LayerPersistence(mean=0.0, max=0, cold=n)] * (cfg.num_layers - 1)
     # Â·X is parameter-free, so every batch forward gathers layer 1's rows
-    # instead of aggregating. Full mode aggregates X inside its whole-graph
-    # forward: a persistent n x d_in float64 array would only raise its peak
-    ax = g_norm.matmul(ds.features) if memory else None
+    # and every whole-graph forward takes it whole instead of aggregating
+    ax = g_norm.matmul(ds.features)
     batch_cache: dict[tuple[int, ...], MiniBatch] = {
         whole_ids: MiniBatch(in_batch=np.arange(n, dtype=np.int64),
                              halo=np.empty(0, dtype=np.int64), local_adj=g_norm)}
@@ -303,7 +321,8 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
         that opens step t+1 and, in full mode, its gradient forward. The old
         version's is dropped first, so two whole-graph caches never coexist,
         and the backward intermediates are kept only in full mode, which
-        trains on them."""
+        trains on them: its backward releases their aggregations and its
+        loss overwrites their logits, since the version is then dead."""
         if state.model_step not in held:
             held.clear()
             hs, cache = full_forward(g_norm, ds.features, state.params, agg=ax,
@@ -315,7 +334,7 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     if cfg.warmup_refresh and memory:
         # gradient-free whole-graph refresh so no pull ever reads the zero init
         batch_forward_with_history(cluster_batch(whole_ids), ax, state.params,
-                                   state.history, push=True, step=0)
+                                   state.history, push=True, step=0, refresh=True)
 
     for epoch in range(cfg.epochs):
         for st in steps:

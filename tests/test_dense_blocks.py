@@ -148,13 +148,13 @@ def backward_outputs(cache, d_out, params) -> list[bytes]:
 
 @pytest.mark.parametrize("dims", [(32, 64, 50), (32, 64, 64, 20)])
 def test_backward_blocks_equal_unsplit(monkeypatch, own_pool, dense_jobs, dims):
-    case = whole_graph_cache(dims=dims)
+    # backward consumes its cache: each call gets a fresh one, built alike
     split_as(monkeypatch, "unsplit")
-    want = backward_outputs(*case)
+    want = backward_outputs(*whole_graph_cache(dims=dims))
     for how in SPLITS[1:]:
         split_as(monkeypatch, how)
         del dense_jobs[:]
-        assert backward_outputs(*case) == want, how
+        assert backward_outputs(*whole_graph_cache(dims=dims)) == want, how
         assert dense_jobs and all(blocks > 1 for _, blocks in dense_jobs), how
 
 
@@ -237,18 +237,68 @@ def traced_peak(fn) -> int:
 
 
 def test_split_peaks_no_higher_than_unsplit(monkeypatch, own_pool):
-    cache, d_out, params = whole_graph_cache()
     gen = np.random.default_rng(61)
-    labels = gen.integers(0, 50, size=len(d_out))
-    mask = gen.random(len(d_out)) < 0.6
+    labels = gen.integers(0, 50, size=50_000)
+    mask = gen.random(50_000) < 0.6
     peaks = {}
     for cpus in (1, 2):
         monkeypatch.setattr(graph, "_cpus", lambda: cpus)
-        backward(cache, d_out, params)  # helpers started outside the measurement
+        # helpers started outside the measurement; backward consumes its
+        # cache, so each call gets a fresh one
+        backward(*whole_graph_cache())
+        cache, d_out, params = whole_graph_cache()
         peaks[cpus] = (traced_peak(lambda: backward(cache, d_out, params)),
                        traced_peak(lambda: loss_and_grad(d_out, labels, mask)))
+        del cache
     assert peaks[2][0] <= peaks[1][0]
     assert peaks[2][1] <= peaks[1][1]
+
+
+def test_backward_consumes_the_aggregations():
+    cache, d_out, params = whole_graph_cache(n=500, dims=(4, 8, 8, 3))
+    hs = list(cache.hs)
+    backward(cache, d_out, params)
+    assert cache.aggs == [None, None, None]
+    assert all(a is b for a, b in zip(cache.hs, hs))  # outputs stay readable
+    with pytest.raises(ValueError, match="released by an earlier backward"):
+        backward(cache, d_out, params)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_loss_in_place_and_backward_peak_one_activation(monkeypatch, own_pool, cpus):
+    """A whole-graph step's loss and backward allocate at most one n x 64
+    array beyond the cache they consume.
+
+    n x (32, 64, 50), in bytes per row, with the logits overwritten by their
+    gradient: layer 2 allocates p (512), releases its aggregation (-512) and
+    the transpose product allocates d_inputs (512); layer 1 overwrites p and
+    masks with h > 0, one bool per element of the blocks in flight (at most
+    64 in all). The loss, which runs first, peaks lower: its masked rows
+    (at most 50 * 8) and its index, term and unmasked-row arrays (at most
+    8 + 8 + 1). So the rise is at most 512 + 64 per row, plus the small
+    arrays (gradients, block lists). Out of place, with the last aggregation kept,
+    the same step adds 400 (the separate gradient) + 512 + 512 + 64.
+    """
+    n = 50_000
+    monkeypatch.setattr(graph, "_cpus", lambda: cpus)
+    graph._helper_pool().submit(int).result()  # helpers started unmeasured
+    gen = np.random.default_rng(62)
+    labels = gen.integers(0, 50, size=n)
+    mask = gen.random(n) < 0.6
+    tracemalloc.start()
+    try:
+        cache, d_out, params = whole_graph_cache(n=n)
+        del d_out
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        logits = cache.hs[-1]
+        loss_and_grad(logits, labels, mask, out=logits)
+        backward(cache, logits, params)
+        rise = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    one = n * 64 * 8
+    assert one <= rise <= one + n * 64 + 2**20
 
 
 # what the benchmark's tracer wraps (perfbench/tracer.py, `install`)

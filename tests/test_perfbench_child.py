@@ -28,4 +28,5 @@ def test_traced_sweep_child_reports_layers(tmp_path):
     layers = out["layers"]
     assert layers["trainer.is_select_s"] > 0  # the rest_is arm selected its halos
     assert layers["trainer.refresh_rows"] > 0
+    assert layers["model.fwd_l1.agg_s"] == 0  # every mode takes layer 1 from Â·X
     assert spans.stat().st_size > 0

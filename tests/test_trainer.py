@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -263,6 +264,33 @@ def test_refresh_updates_only_named_cluster():
     rest_refresh_pass([make_batch(g_norm, part, [2])], state, g_norm.matmul(ds.features))
     touched = np.flatnonzero(state.history.last_update[:, 0] != -1)
     assert np.array_equal(touched, part.clusters[2])
+
+
+@pytest.mark.parametrize("num_layers", [2, 3])
+def test_refresh_forward_stops_at_last_pushed_layer(monkeypatch, num_layers):
+    ds = small_dataset(seed=10)
+    g_norm = normalize_adjacency(ds.graph)
+    part = partition_graph(ds.graph, 4, seed=5)
+    dims = [ds.num_features] + [6] * (num_layers - 1) + [ds.num_classes]
+    params = init_params(dims, seed=3)
+    ax = g_norm.matmul(ds.features)
+    batches = [make_batch(g_norm, part, [c]) for c in (2, 0, 3, 1, 2)]
+    full, short = (HistoryTable(ds.graph.num_nodes, dims[1:-1]) for _ in range(2))
+    lasts = []
+    real = trainer.layer_apply
+    monkeypatch.setattr(trainer, "layer_apply",
+                        lambda *a, **kw: lasts.append(kw["last"]) or real(*a, **kw))
+    for step, batch in enumerate(batches):
+        hs_full, _ = batch_forward_with_history(batch, ax, params, full,
+                                                push=True, step=step)
+        del lasts[:]
+        hs_short, _ = batch_forward_with_history(batch, ax, params, short,
+                                                 push=True, step=step, refresh=True)
+        assert lasts == [False] * (num_layers - 1)
+        assert len(hs_short) == num_layers - 1
+        assert all(np.array_equal(a, b) for a, b in zip(hs_short, hs_full))
+    assert all(np.array_equal(a, b) for a, b in zip(short.layers, full.layers))
+    assert np.array_equal(short.last_update, full.last_update)
 
 
 # ------------------------------------------------------- importance batches ---
@@ -565,6 +593,24 @@ def test_divergence_aborts_with_checkpoint_dump(tmp_path):
                 run_training(cfg, ds, part, dump_prefix=prefix)
         assert (tmp_path / f"{mode}_diverged.ckpt").exists(), mode
         assert (tmp_path / f"{mode}_history_l1.bin").exists(), mode
+
+
+def test_load_checkpoint_rejects_wrong_size(tmp_path):
+    path = tmp_path / "m.ckpt"
+    params = init_params([5, 4, 3], seed=2)
+    trainer.save_checkpoint(params, str(path))
+    data = path.read_bytes()
+    assert len(data) == 4 * (1 + 3 + 5 * 4 + 4 + 4 * 3 + 3)
+    loaded = trainer.load_checkpoint(str(path))
+    assert np.array_equal(loaded.flat(), params.flat().astype(np.float32))
+    for bad in (data[:-4], data + bytes(8)):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + f": .* takes "
+                           f"{len(data)} bytes, the file has {len(bad)}"):
+            trainer.load_checkpoint(str(path))
+    path.write_bytes(data[:6])
+    with pytest.raises(ValueError, match="no checkpoint header"):
+        trainer.load_checkpoint(str(path))
 
 
 def test_config_validation():
