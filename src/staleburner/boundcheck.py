@@ -20,7 +20,7 @@ from .metrics import bound_constants, telescoped_output_bound, gradient_error_bo
 from .model import full_forward, init_params, loss_and_grad
 from .partition import make_batch, partition_graph
 from .rng import Rng, derive_seed
-from .trainer import batch_forward_with_history
+from .trainer import table_logits
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,8 @@ def bound_check_instance(seed: int, n: int = 50, num_layers: int = 2,
     oracle_hs, _ = full_forward(g_norm, ds.features, params)
     part = partition_graph(ds.graph, min(num_parts, n_actual),
                            derive_seed(seed, "part"))
-    ax = g_norm.matmul(ds.features)
-    run_logits = np.zeros_like(oracle_hs[-1])
-    for c in range(part.num_parts):
-        batch = make_batch(g_norm, part, [c])
-        hs, _ = batch_forward_with_history(batch, ax, params, table,
-                                           push=False, step=0)
-        run_logits[batch.in_batch] = hs[-1]
+    batches = [make_batch(g_norm, part, [c]) for c in range(part.num_parts)]
+    run_logits = table_logits(batches, g_norm.matmul(ds.features), params, table)
 
     _, d_stale = loss_and_grad(run_logits, ds.labels, ds.train_mask)
     _, d_true = loss_and_grad(oracle_hs[-1], ds.labels, ds.train_mask)

@@ -10,27 +10,33 @@ Modes:
              batch's own halo, so the rows about to be read are refreshed
              first (F is not read)
 
-Every mode runs the same step: a refresh pass over the step's refresh batches
-(none for full and gas), then one gradient step that pushes its in-batch rows
-unless the mode is full. Reference semantics are strictly sequential: refresh
-batches in listed order, then the gradient batch. All modes collapse to
-identical full-batch steps when the partition has a single cluster.
+Before its first step a run builds one plan, a list of (refresh batches,
+gradient batch) pairs that every epoch walks: one pair per scheduled step in
+the memory modes, the whole graph alone in full mode. Every mode runs the
+same step: a refresh pass over the pair's refresh batches (none for full and
+gas; rest_is builds its halo batch at the step), then one gradient step that
+pushes its in-batch rows unless the mode is full. Reference semantics are
+strictly sequential: refresh batches in listed order, then the gradient
+batch. All modes collapse to identical full-batch steps when the partition
+has a single cluster.
 
-Every step ends with a whole-graph evaluate. Its forward is held until the
-parameters change: it is the oracle of the probe that opens the next step
-and, in full mode, the next gradient step's forward. Every mode computes Â·X
-once per run, so no forward aggregates X: batch forwards gather layer 1's
-rows and whole-graph forwards take it whole. Refresh forwards stop at the
-last layer they push. Records and parameters stay bit-identical.
+Every step ends with a whole-graph evaluate. The run holds that one forward
+until the next gradient step moves the parameters: it is the oracle of the
+probe that opens the next step and, in full mode, the next gradient step's
+forward. Every mode computes Â·X once per run, so no forward aggregates X:
+batch forwards gather layer 1's rows and whole-graph forwards take it whole.
+Refresh forwards stop at the last layer they push. Records and parameters
+stay bit-identical.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import struct
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +45,7 @@ from .history import HistoryTable, LayerPersistence, persistence_stats
 from .metrics import MetricsRecord, approximation_error
 from .model import (Adam, GcnParams, LayerCache, backward,
                     full_forward, init_params, layer_apply, loss_and_grad)
-from .partition import (MiniBatch, Partition, ScheduleStep, make_batch,
+from .partition import (MiniBatch, Partition, make_batch,
                         make_batch_from_nodes, schedule_epoch)
 from .rng import derive_seed
 
@@ -74,6 +80,10 @@ class TrainConfig:
             raise ValueError("probe_every must be >= 0")
         if self.epochs < 0 or self.num_layers < 1 or self.hidden < 1:
             raise ValueError("epochs, num_layers, hidden must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -82,7 +92,6 @@ class TrainState:
     adam: Adam
     history: HistoryTable
     model_step: int = 0
-    records: list[MetricsRecord] = field(default_factory=list)
 
 
 def batch_forward_with_history(batch: MiniBatch, ax: np.ndarray,
@@ -202,25 +211,35 @@ def evaluate(g_norm: NormAdj, ds: Dataset, params: GcnParams,
     return tuple(accs)
 
 
-def _probe_apx_errors(state: TrainState, chunk_batches: list[MiniBatch], mode: str,
+def table_logits(batches: list[MiniBatch], ax: np.ndarray, params: GcnParams,
+                 history: HistoryTable) -> np.ndarray:
+    """Whole-graph logits read through the table: every batch runs against
+    `history` without pushing, so no batch sees another's rows, and writes
+    its in-batch rows of one n x classes array. Rows no batch covers stay
+    zero."""
+    logits = np.zeros((len(ax), params.dims[-1]))
+    for batch in batches:
+        # step is read only by pushes
+        hs, _ = batch_forward_with_history(batch, ax, params, history,
+                                           push=False, step=0)
+        logits[batch.in_batch] = hs[-1]
+    return logits
+
+
+def _probe_apx_errors(state: TrainState, grad_batches: list[MiniBatch], mode: str,
                       oracle: Callable[[], LayerCache],
                       ax: np.ndarray) -> tuple[float, ...]:
     """Per-layer mean distance between memory/run embeddings and a fresh
     whole-graph forward (`oracle()`, at the current parameters): stored layers
-    come straight from the table, the final layer from re-running every batch
-    against the current table. Full mode reads no table, so its errors are
-    zero without a forward."""
+    come straight from the table, the final layer from re-running every
+    gradient batch against the current table. Full mode reads no table, so
+    its errors are zero without a forward."""
     if mode == "full":
         return tuple(0.0 for _ in range(state.params.num_layers))
     oracle_hs = oracle().hs
     table_errs = approximation_error(state.history, oracle_hs)
-    run_logits = np.zeros_like(oracle_hs[-1])
-    for batch in chunk_batches:
-        hs, _ = batch_forward_with_history(
-            batch, ax, state.params, state.history,
-            push=False, step=state.model_step)
-        run_logits[batch.in_batch] = hs[-1]
-    final_err = approximation_error(run_logits, oracle_hs[-1])
+    final_err = approximation_error(
+        table_logits(grad_batches, ax, state.params, state.history), oracle_hs[-1])
     return tuple(table_errs) + (final_err,)
 
 
@@ -247,6 +266,8 @@ def load_checkpoint(path: str) -> GcnParams:
         dims = list(struct.unpack_from(f"<{L + 1}I", data, 4))
     except struct.error:
         raise ValueError(f"{path}: {len(data)} bytes hold no checkpoint header") from None
+    if L == 0:
+        raise ValueError(f"{path}: the header names 0 layers")
     offset = 4 * (L + 2)
     expected = offset + 4 * sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
     if len(data) != expected:
@@ -268,26 +289,30 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
                  on_step=None,
                  checkpoint_path: str | None = None
                  ) -> tuple[list[MetricsRecord], GcnParams]:
-    """Drive epochs of scheduled steps; returns the metrics series and final
-    parameters. Deterministic for a fixed config (wall_ms stays 0.0 unless
-    cfg.timing is set)."""
+    """Drive epochs over one plan of steps; returns the metrics series and
+    final parameters. Deterministic for a fixed config (wall_ms stays 0.0
+    unless cfg.timing is set)."""
     cfg.validate()
     ds.validate()
     memory = cfg.mode != "full"
-    whole_ids = tuple(range(part.num_parts))
-    # one plan serves every epoch; only rest refreshes scheduled clusters (gas
-    # runs none whatever F its config carries, rest_is refreshes each
-    # gradient batch's halo). Planned first, so a batch size the partition
-    # cannot fill fails before any work
-    if memory:
-        steps = schedule_epoch(part, cfg.clusters_per_batch,
-                               cfg.refresh_per_step if cfg.mode == "rest" else 0,
-                               derive_seed(cfg.seed, "schedule"))
-    else:
-        steps = [ScheduleStep(refresh=(), grad=whole_ids)]
-    chunk_ids = [st.grad for st in steps]
+    # only rest refreshes scheduled clusters (gas runs none whatever F its
+    # config carries, rest_is refreshes each gradient batch's halo). Planned
+    # first, so a batch size the partition cannot fill fails before any work
+    steps = schedule_epoch(part, cfg.clusters_per_batch,
+                           cfg.refresh_per_step if cfg.mode == "rest" else 0,
+                           derive_seed(cfg.seed, "schedule")) if memory else []
     g_norm = normalize_adjacency(ds.graph)
     n = ds.graph.num_nodes
+    # the plan every epoch walks. Each distinct cluster set is built once; one
+    # covering every cluster is the whole graph on g_norm, so single-cluster
+    # runs match full mode bit for bit. rest_is's steps build their halo batch:
+    # holding them all lifted sweep-2k's peak RSS 59 -> 63 MiB, past the 5% bound
+    whole = MiniBatch(in_batch=np.arange(n, dtype=np.int64),
+                      halo=np.empty(0, dtype=np.int64), local_adj=g_norm)
+    built = {ids: whole if len(ids) == part.num_parts else make_batch(g_norm, part, list(ids))
+             for ids in dict.fromkeys(c for st in steps for c in (st.grad, *st.refresh))}
+    plan = ([([built[c] for c in st.refresh], built[st.grad]) for st in steps]
+            if memory else [([], whole)])
     dims = ([ds.num_features]
             + [cfg.hidden] * (cfg.num_layers - 1)
             + [ds.num_classes])
@@ -302,59 +327,42 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     # Â·X is parameter-free, so every batch forward gathers layer 1's rows
     # and every whole-graph forward takes it whole instead of aggregating
     ax = g_norm.matmul(ds.features)
-    batch_cache: dict[tuple[int, ...], MiniBatch] = {
-        whole_ids: MiniBatch(in_batch=np.arange(n, dtype=np.int64),
-                             halo=np.empty(0, dtype=np.int64), local_adj=g_norm)}
-
-    def cluster_batch(ids: tuple[int, ...]) -> MiniBatch:
-        key = tuple(sorted(ids))
-        if key not in batch_cache:
-            batch_cache[key] = make_batch(g_norm, part, list(key))
-        return batch_cache[key]
-
-    # the latest whole-graph forward, keyed by the parameter version it ran at
-    held: dict[int, LayerCache] = {}
+    held: LayerCache | None = None  # the whole-graph forward, None once the parameters move
 
     def whole_forward() -> LayerCache:
         """The whole-graph forward at the current parameters, run once per
-        version: evaluate's forward after step t is the oracle of the probe
-        that opens step t+1 and, in full mode, its gradient forward. The old
-        version's is dropped first, so two whole-graph caches never coexist,
-        and the backward intermediates are kept only in full mode, which
-        trains on them: its backward releases their aggregations and its
-        loss overwrites their logits, since the version is then dead."""
-        if state.model_step not in held:
-            held.clear()
+        version: evaluate's is the next probe's oracle and, in full mode, the
+        next gradient forward, whose backward and loss consume the
+        intermediates kept only in that mode. Never two at once."""
+        nonlocal held
+        if held is None:
             hs, cache = full_forward(g_norm, ds.features, state.params, agg=ax,
                                      keep_z=False)
-            held[state.model_step] = (LayerCache(adj=g_norm, num_in_batch=n, hs=hs)
-                                      if memory else cache)
-        return held[state.model_step]
+            held = LayerCache(adj=g_norm, num_in_batch=n, hs=hs) if memory else cache
+        return held
 
     if cfg.warmup_refresh and memory:
         # gradient-free whole-graph refresh so no pull ever reads the zero init
-        batch_forward_with_history(cluster_batch(whole_ids), ax, state.params,
-                                   state.history, push=True, step=0, refresh=True)
+        batch_forward_with_history(whole, ax, state.params, state.history,
+                                   push=True, step=0, refresh=True)
 
+    records: list[MetricsRecord] = []
+    grad_batches = [grad for _, grad in plan]
     for epoch in range(cfg.epochs):
-        for st in steps:
-            t0 = time.perf_counter()
+        for refresh, grad_batch in plan:
             pstats = (persistence_stats(state.history, state.model_step) if memory
                       else cold_stats)
             if cfg.probe_every > 0 and state.model_step % cfg.probe_every == 0:
-                apx = _probe_apx_errors(state, [cluster_batch(c) for c in chunk_ids],
-                                        cfg.mode, whole_forward, ax)
+                apx = _probe_apx_errors(state, grad_batches, cfg.mode, whole_forward, ax)
             else:
                 apx = tuple([float("nan")] * cfg.num_layers)
-            grad_batch = cluster_batch(st.grad)
+            # wall_ms times the step's own work, not the probe
+            t0 = time.perf_counter()
             if cfg.mode == "rest_is":
                 refresh = rest_is_refresh_selection(grad_batch, g_norm)
-            else:
-                refresh = [cluster_batch(c) for c in st.refresh]
             try:
                 rest_refresh_pass(refresh, state, ax)
-                # the held forward is passed, never bound here, so it is
-                # released before evaluate computes the next one
+                # the held forward is passed, never bound, so `held = None` frees it
                 loss = train_step_gas(grad_batch, state, ds, ax,
                                       forward=None if memory else whole_forward())
             except FloatingPointError:
@@ -363,9 +371,10 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
                     table = state.history if memory else HistoryTable(n, dims[1:-1])
                     table.dump(dump_prefix + "_history")
                 raise
+            held = None  # the parameters moved
             wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
             acc_tr, acc_val, acc_te = evaluate(g_norm, ds, state.params, whole_forward)
-            state.records.append(MetricsRecord(
+            records.append(MetricsRecord(
                 step=state.model_step, epoch=epoch, loss=loss,
                 acc_train=acc_tr, acc_val=acc_val, acc_test=acc_te,
                 persist_mean=tuple(p.mean for p in pstats),
@@ -376,4 +385,4 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
                 on_step(state)
         if checkpoint_path is not None:
             save_checkpoint(state.params, checkpoint_path)
-    return state.records, state.params
+    return records, state.params

@@ -2,11 +2,14 @@ import copy
 import dataclasses
 import logging
 import re
+import struct
+import time
 
 import numpy as np
 import pytest
 
 from staleburner import trainer
+from staleburner.cli import main
 from staleburner.graph import normalize_adjacency, sbm_generate
 from staleburner.history import NEVER, HistoryTable, persistence_stats
 from staleburner.metrics import format_record
@@ -447,6 +450,50 @@ def test_run_training_plans_schedule_once(monkeypatch):
     assert len(calls) == 1  # every epoch repeats the one plan
 
 
+def test_run_training_builds_each_cluster_set_once(monkeypatch):
+    ds = small_dataset(seed=24)
+    part = partition_graph(ds.graph, 4, seed=6)
+    cfg = TrainConfig(mode="rest", refresh_per_step=2, epochs=3, hidden=4, seed=1,
+                      probe_every=1)
+    steps = trainer.schedule_epoch(part, 1, 2, derive_seed(1, "schedule"))
+    sets = {frozenset(ids) for st in steps for ids in (st.grad, *st.refresh)}
+    built = []
+    real = trainer.make_batch
+    monkeypatch.setattr(trainer, "make_batch",
+                        lambda g, p, ids: built.append(frozenset(ids)) or real(g, p, ids))
+    records, _ = run_training(cfg, ds, part)
+    assert len(records) == 12
+    assert sorted(built, key=sorted) == sorted(sets, key=sorted)
+
+
+def test_rest_is_builds_its_halo_batch_every_step(monkeypatch):
+    """rest_is's halo batches are built by their step, not held in the plan:
+    holding every one of them lifted the sweep-2k benchmark's peak RSS by
+    about 7%, past its 5% bound. So each step builds exactly one."""
+    ds = small_dataset(seed=24)
+    part = partition_graph(ds.graph, 4, seed=6)
+    calls = []
+    real = trainer.make_batch_from_nodes
+    monkeypatch.setattr(trainer, "make_batch_from_nodes",
+                        lambda *a: calls.append(1) or real(*a))
+    records, _ = run_training(TrainConfig(mode="rest_is", epochs=3, hidden=4, seed=1),
+                              ds, part)
+    assert len(records) == 12
+    assert len(calls) == len(records)
+
+
+def test_wall_ms_leaves_out_the_probe(monkeypatch):
+    ds = small_dataset(seed=24)
+    part = partition_graph(ds.graph, 4, seed=6)
+    real = trainer._probe_apx_errors
+    monkeypatch.setattr(trainer, "_probe_apx_errors",
+                        lambda *a: time.sleep(0.05) or real(*a))
+    for mode in ("full", "rest", "rest_is"):
+        records, _ = run_training(TrainConfig(mode=mode, epochs=2, hidden=4, seed=1,
+                                              probe_every=1, timing=True), ds, part)
+        assert all(0.0 < r.wall_ms < 50.0 for r in records), (mode, records)
+
+
 def test_run_training_rejects_oversized_batch_before_any_work(monkeypatch):
     ds = small_dataset(seed=24)
     part = partition_graph(ds.graph, 4, seed=6)
@@ -595,7 +642,7 @@ def test_divergence_aborts_with_checkpoint_dump(tmp_path):
         assert (tmp_path / f"{mode}_history_l1.bin").exists(), mode
 
 
-def test_load_checkpoint_rejects_wrong_size(tmp_path):
+def test_load_checkpoint_rejects_wrong_size(tmp_path, capsys):
     path = tmp_path / "m.ckpt"
     params = init_params([5, 4, 3], seed=2)
     trainer.save_checkpoint(params, str(path))
@@ -611,6 +658,14 @@ def test_load_checkpoint_rejects_wrong_size(tmp_path):
     path.write_bytes(data[:6])
     with pytest.raises(ValueError, match="no checkpoint header"):
         trainer.load_checkpoint(str(path))
+    # a zero-layer header with dims [5] matches its own size, 8 bytes
+    path.write_bytes(struct.pack("<II", 0, 5))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ": .*0 layers"):
+        trainer.load_checkpoint(str(path))
+    assert main(["eval", "--checkpoint", str(path), "--data",
+                 "sbm:blocks=3,nodes_per_block=12,p_in=0.4,p_out=0.05"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
 
 
 def test_config_validation():
@@ -618,8 +673,12 @@ def test_config_validation():
         TrainConfig(mode="sgd").validate()
     for bad in (dict(refresh_per_step=-1),
                 dict(clusters_per_batch=0),
-                dict(probe_every=-1)):
-        with pytest.raises(ValueError):
+                dict(probe_every=-1),
+                dict(lr=float("nan")), dict(lr=float("inf")), dict(lr=-1.0), dict(lr=0.0),
+                dict(weight_decay=-0.5), dict(weight_decay=float("nan")),
+                dict(weight_decay=float("inf"))):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             TrainConfig(**bad).validate()
     TrainConfig(mode="rest", clusters_per_batch=2, probe_every=0).validate()
+    TrainConfig(lr=1e-9, weight_decay=0.0).validate()
     TrainConfig(mode="rest_is", refresh_per_step=0).validate()  # F is rest's
