@@ -34,7 +34,7 @@ from .boundcheck import run_bound_check
 from .graph import (Dataset, DatasetError, load_dataset, normalize_adjacency,
                     sbm_generate, save_dataset)
 from .metrics import csv_header, export_metrics, format_record
-from .partition import partition_graph
+from .partition import Partition, partition_graph
 from .rng import derive_seed
 from .trainer import TrainConfig, evaluate, load_checkpoint, run_training
 
@@ -147,21 +147,22 @@ def _cmd_partition(args) -> int:
     return 0
 
 
-def _run_from_config(cfg: dict, train_cfg: TrainConfig, checkpoint: str | None):
+def _setup(cfg: dict, seed: int) -> tuple[Dataset, Partition]:
+    """The dataset and partition of a run config. Neither reads the mode or
+    F, so one set-up serves every run of an ablate-f sweep."""
     if "dataset" not in cfg:
         raise ConfigError("config is missing the dataset key")
-    ds = load_data_source(cfg["dataset"], train_cfg.seed)
-    parts = cfg.get("parts", 1)
-    part = partition_graph(ds.graph, parts, derive_seed(train_cfg.seed, "partition"))
-    return run_training(train_cfg, ds, part,
-                        dump_prefix=os.path.splitext(checkpoint)[0] if checkpoint else None,
-                        checkpoint_path=checkpoint)
+    ds = load_data_source(cfg["dataset"], seed)
+    return ds, partition_graph(ds.graph, cfg.get("parts", 1), derive_seed(seed, "partition"))
 
 
 def _cmd_train(args) -> int:
     cfg = parse_config(args.config)
     train_cfg = train_config_from(cfg)
-    records, _ = _run_from_config(cfg, train_cfg, args.checkpoint)
+    ds, part = _setup(cfg, train_cfg.seed)
+    ckpt = args.checkpoint
+    records, _ = run_training(train_cfg, ds, part, checkpoint_path=ckpt,
+                              dump_prefix=os.path.splitext(ckpt)[0] if ckpt else None)
     if records:
         export_metrics(records, args.out)
     else:
@@ -192,23 +193,18 @@ def _cmd_bound_check(args) -> int:
 def _cmd_ablate_f(args) -> int:
     cfg = parse_config(args.config)
     f_values = [int(x) for x in args.f_values.split(",")]
-    rows: list[str] = []
-    header = None
-    for f_val in f_values:
-        # refresh frequency only matters under the refresh regime; F=0 is the
-        # plain history baseline
-        sweep = dict(cfg)
-        sweep["mode"] = "rest"
-        sweep["F"] = f_val
-        train_cfg = train_config_from(sweep)
-        records, _ = _run_from_config(sweep, train_cfg, None)
-        if header is None:
-            header = "f," + csv_header(train_cfg.num_layers - 1, train_cfg.num_layers)
-        rows.extend(f"{f_val},{format_record(r)}" for r in records)
+    # F only matters in rest mode, where F=0 is the plain history baseline;
+    # every F value is checked before any work
+    train_cfgs = [train_config_from({**cfg, "mode": "rest", "F": f_val})
+                  for f_val in f_values]
+    ds, part = _setup(cfg, train_cfgs[0].seed)
+    L = train_cfgs[0].num_layers
+    lines = ["f," + csv_header(L - 1, L)]
+    for f_val, train_cfg in zip(f_values, train_cfgs):
+        records, _ = run_training(train_cfg, ds, part)
+        lines += [f"{f_val},{format_record(r)}" for r in records]
     with open(args.out, "w") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(row + "\n")
+        f.write("".join(line + "\n" for line in lines))
     print(f"wrote {args.out}: F in {f_values}")
     return 0
 

@@ -4,9 +4,9 @@ Graphs are undirected, stored in CSR form without self-loops. The propagation
 operator adds self-loops and symmetric degree normalization, so its spectral
 norm is exactly 1 regardless of the input graph.
 
-Operator products, and transposes of the symmetric operator, run through
-one row kernel, scipy's CSR multi-vector product, writing straight into one
-output the caller allocates. A product whose work nnz * width reaches
+Every operator product, transposes included, runs through one row kernel,
+scipy's CSR multi-vector product, writing straight into one output the
+caller allocates. A product whose work nnz * width reaches
 SPLIT_WORK, on a process that may run on more than one CPU, is cut into
 BLOCKS_PER_CPU row blocks of about equal nnz per CPU. Each output row is
 summed in CSR order whichever thread runs its block, so the result is
@@ -163,16 +163,15 @@ class Dataset:
 
 @dataclass(frozen=True)
 class NormAdj:
-    """Degree-normalized adjacency with self-loops, CSR.
+    """Degree-normalized adjacency with self-loops, CSR: the symmetric Â
+    that normalize_adjacency builds, or its rows at a batch's targets
+    (columns: the targets, then the halo), values copied bit-exactly.
 
-    Square and `symmetric` when built by normalize_adjacency; batch
-    construction reuses the type for rectangular row restrictions (rows =
-    batch targets, columns = batch plus halo), values copied bit-exactly
-    from the square operator. Products use one scipy CSR array built on
-    first use from the three arrays below, which must not be mutated after
-    that. `matmul`, and `t_matmul` of a symmetric operator, run the row
-    kernel of the module docstring; other transposes use scipy's CSC
-    scatter.
+    Invariant: the rows are the targets, and the first num_rows columns are
+    the same targets in the same order, so that block of Â is symmetric bit
+    for bit and `t_matmul` is a row product too. Products use one scipy CSR
+    array built on first use from the three arrays below, which must not be
+    mutated after that.
     """
 
     num_rows: int
@@ -180,9 +179,6 @@ class NormAdj:
     row_ptr: np.ndarray  # int64
     col_idx: np.ndarray  # int64
     values: np.ndarray   # float64
-    # entry (u, v) equals entry (v, u) bit for bit and every row is sorted;
-    # set only where that is known by construction, never inferred
-    symmetric: bool = False
 
     @cached_property
     def csr(self) -> sparse.csr_array:
@@ -203,14 +199,21 @@ class NormAdj:
         return self._row_product(dense)
 
     def t_matmul(self, dense: np.ndarray) -> np.ndarray:
-        """Transpose product: (num_cols, d) result from (num_rows, d) input.
-
-        For a symmetric operator the CSC scatter of the transpose adds, into
-        each output row, the same products in the same (ascending column)
-        order as the CSR gather, so the row kernel gives the same bits."""
-        if self.symmetric:
+        """The targets' rows of the transpose product, (num_rows, d) float64
+        from (num_rows, d): a batch's halo inputs are constants. By the class
+        invariant, the row product on `dense` padded with zero halo rows sums
+        each row's terms in the order scipy's CSC scatter does, and a halo
+        term adds +0.0, which never changes a sum started at +0.0: the bits
+        are those of `(csr.T @ dense)[:num_rows]`."""
+        shape = np.shape(dense)
+        if len(shape) != 2 or shape[0] != self.num_rows:
+            raise ValueError(f"operand of shape {shape} does not fit the transpose of "
+                             f"an operator of shape ({self.num_rows}, {self.num_cols})")
+        if self.num_cols == self.num_rows:
             return self._row_product(dense)
-        return self.csr.T @ dense
+        padded = np.zeros((self.num_cols, shape[1]))
+        padded[:self.num_rows] = dense
+        return self._row_product(padded)
 
     def _row_product(self, dense: np.ndarray) -> np.ndarray:
         shape = np.shape(dense)
@@ -331,13 +334,13 @@ def normalize_adjacency(g: CsrGraph) -> NormAdj:
     np.cumsum(degrees + 1, out=row_ptr[1:])
     # inv_sqrt[u] * inv_sqrt[v] == inv_sqrt[v] * inv_sqrt[u]: symmetric bitwise
     return NormAdj(num_rows=n, num_cols=n, row_ptr=row_ptr, col_idx=cols,
-                   values=inv_sqrt[rows] * inv_sqrt[cols], symmetric=True)
+                   values=inv_sqrt[rows] * inv_sqrt[cols])
 
 
 def spectral_norm_upper(m, iters: int = 200, tol: float = 1e-3) -> tuple[float, bool]:
     """Power-iteration upper envelope for the 2-norm of a matrix.
 
-    Accepts a NormAdj or a dense ndarray. Iterates on the Gram operator
+    Accepts a square NormAdj or a dense ndarray. Iterates on the Gram operator
     M^T M from a fixed all-ones start, so the result is deterministic and
     sign-oscillation-free. Returns (estimate * (1 + tol), converged); on
     non-convergence the last estimate is still inflated and returned.

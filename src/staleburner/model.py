@@ -7,10 +7,10 @@ only the history storage (float32) rounds.
 
 The backward pass differentiates exactly the computation the forward ran:
 input rows beyond the in-batch targets (halo rows filled from memory) are
-constants and receive no gradient. It masks each hidden layer on its output,
-h > 0, which for h = max(z, 0) is the same mask as z > 0 element for element
-(-0.0 and NaN included), so a forward keeps one array per hidden layer and
-applies bias and ReLU in place.
+constants, so its transpose products compute the targets' rows only. It
+masks each hidden layer on its output, h > 0, which for h = max(z, 0) is the
+same mask as z > 0 element for element (-0.0 and NaN included), so a forward
+keeps one array per hidden layer and applies bias and ReLU in place.
 
 Whole-graph dense work runs on graph.run_blocks, the block runner of the
 sparse kernel, when graph.even_blocks splits it: a layer's transform, bias
@@ -83,12 +83,11 @@ def init_params(dims: list[int], seed: int) -> GcnParams:
 class LayerCache:
     """Forward intermediates needed by backward: the aggregated inputs, the
     layer outputs (whose signs give the ReLU mask), and the adjacency that
-    produced them. `zs` holds the pre-activations only when the forward was
-    asked to keep them; backward never reads it. Backward releases each
-    entry of `aggs` (sets it to None) once it has used it."""
+    produced them, whose rows are the targets. `zs` holds pre-activations
+    only when the forward was asked to keep them; backward never reads it,
+    and sets each entry of `aggs` to None once it has used it."""
 
     adj: NormAdj
-    num_in_batch: int
     aggs: list[np.ndarray] = field(default_factory=list)
     zs: list[np.ndarray] = field(default_factory=list)
     hs: list[np.ndarray] = field(default_factory=list)
@@ -138,7 +137,7 @@ def full_forward(adj: NormAdj, features: np.ndarray, params: GcnParams,
     n = adj.num_rows
     if features.shape[0] != n:
         raise ValueError("feature rows != graph size")
-    cache = LayerCache(adj=adj, num_in_batch=n)
+    cache = LayerCache(adj=adj)
     h = None if agg is not None else features.astype(np.float64, copy=False)
     for l in range(params.num_layers):
         a, z, h = layer_apply(adj, h, params.weights[l], params.biases[l],
@@ -213,7 +212,8 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
     """Exact gradients of the cached forward.
 
     Returns parameter gradients and, per layer l (1-based list index l-1),
-    the loss gradient with respect to the in-batch rows of H^(l).
+    the loss gradient with respect to the in-batch rows of H^(l), the rows
+    of `cache.adj`, which is all its transpose products compute.
 
     Backward consumes the cache's aggregations, as autograd frees the
     tensors it saved: each is released (set to None) once its weight
@@ -230,7 +230,7 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
                          "run a fresh forward")
     if d_out.shape != cache.hs[-1].shape:
         raise ValueError(f"d_out shape {d_out.shape} != logits {cache.hs[-1].shape}")
-    nb = cache.num_in_batch
+    nb = cache.adj.num_rows
     dw = [np.zeros_like(w) for w in params.weights]
     db = [np.zeros_like(b) for b in params.biases]
     d_hidden: list[np.ndarray] = [None] * L
@@ -254,8 +254,7 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
         db[l] = dz.sum(axis=0)
         if l == 0:
             break
-        d_inputs = cache.adj.t_matmul(p)
-        dh = d_inputs[:nb]  # halo rows were constants pulled from memory
+        dh = cache.adj.t_matmul(p)
         spare = p
     return Grads(weights=dw, biases=db), d_hidden
 

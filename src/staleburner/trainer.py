@@ -114,7 +114,7 @@ def batch_forward_with_history(batch: MiniBatch, ax: np.ndarray,
     L = params.num_layers
     depth = L - 1 if refresh else L
     nb = len(batch.in_batch)
-    cache = LayerCache(adj=batch.local_adj, num_in_batch=nb)
+    cache = LayerCache(adj=batch.local_adj)
     inputs = h = None
     for l in range(depth):
         if l > 0:
@@ -153,7 +153,7 @@ def train_step_gas(batch: MiniBatch, state: TrainState, ds: Dataset,
     if forward is None:
         hs, cache = batch_forward_with_history(
             batch, ax, state.params, state.history, push=True, step=state.model_step)
-    elif len(batch.halo) or forward.num_in_batch != len(batch.in_batch):
+    elif len(batch.halo) or forward.adj.num_rows != len(batch.in_batch):
         raise ValueError("a whole-graph forward can only stand in for the whole graph")
     else:
         hs, cache = forward.hs, forward
@@ -256,9 +256,9 @@ def save_checkpoint(params: GcnParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> GcnParams:
-    """Read a save_checkpoint file. A file whose size does not match the
-    dims in its header, cut short or with trailing bytes, raises
-    ValueError."""
+    """Read a save_checkpoint file. A header naming no layer or a zero
+    dimension, or a file whose size does not match the dims in its header,
+    cut short or with trailing bytes, raises ValueError."""
     with open(path, "rb") as f:
         data = f.read()
     try:
@@ -266,8 +266,9 @@ def load_checkpoint(path: str) -> GcnParams:
         dims = list(struct.unpack_from(f"<{L + 1}I", data, 4))
     except struct.error:
         raise ValueError(f"{path}: {len(data)} bytes hold no checkpoint header") from None
-    if L == 0:
-        raise ValueError(f"{path}: the header names 0 layers")
+    if L == 0 or 0 in dims:
+        raise ValueError(f"{path}: the header names {L} layers of dims {dims}; a "
+                         "checkpoint has at least one layer and no zero dimension")
     offset = 4 * (L + 2)
     expected = offset + 4 * sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
     if len(data) != expected:
@@ -338,7 +339,7 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
         if held is None:
             hs, cache = full_forward(g_norm, ds.features, state.params, agg=ax,
                                      keep_z=False)
-            held = LayerCache(adj=g_norm, num_in_batch=n, hs=hs) if memory else cache
+            held = LayerCache(adj=g_norm, hs=hs) if memory else cache
         return held
 
     if cfg.warmup_refresh and memory:

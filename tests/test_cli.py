@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from staleburner import cli
 from staleburner.cli import main, parse_config, train_config_from, ConfigError
 from staleburner.graph import load_dataset
 from staleburner.trainer import TrainConfig
@@ -211,6 +212,29 @@ def test_ablate_f_merged_csv(tmp_path, capsys):
     f_col = {line.split(",")[0] for line in lines[1:]}
     assert f_col == {"0", "1"}
     assert len(lines) == 1 + 2 * 3  # two runs x one epoch x 3 clusters
+
+
+def test_ablate_f_sets_up_once(tmp_path, capsys, monkeypatch):
+    """Neither the dataset nor the partition reads F: the sweep builds them
+    once, and each F's rows are what `train` writes for that F."""
+    calls = []
+    partition = cli.partition_graph
+    monkeypatch.setattr(cli, "partition_graph",
+                        lambda *a, **k: calls.append(1) or partition(*a, **k))
+    out = tmp_path / "ablate.csv"
+    code, _, _ = run_cli(capsys, "ablate-f", "--config", write_config(tmp_path / "c.cfg"),
+                         "--f-values", "0,1,2", "--out", str(out))
+    assert code == 0
+    assert len(calls) == 1
+    header, *rows = out.read_text().splitlines()
+    for f_val in (0, 1, 2):
+        metrics = tmp_path / f"m{f_val}.csv"
+        cfg = write_config(tmp_path / f"c{f_val}.cfg", mode="rest", F=f_val)
+        assert run_cli(capsys, "train", "--config", cfg, "--out", str(metrics))[0] == 0
+        train_header, *train_rows = metrics.read_text().splitlines()
+        assert header == "f," + train_header
+        assert [r for r in rows if r.startswith(f"{f_val},")] == \
+            [f"{f_val},{r}" for r in train_rows]
 
 
 def test_ablate_f_empty_f_values_fails(tmp_path, capsys):

@@ -128,9 +128,9 @@ def whole_graph_cache(n: int = 50_000, dims=(32, 64, 50), seed: int = 60):
     gen = np.random.default_rng(seed)
     ids = np.arange(n, dtype=np.int64)
     adj = NormAdj(num_rows=n, num_cols=n, row_ptr=np.arange(n + 1, dtype=np.int64),
-                  col_idx=ids, values=np.ones(n), symmetric=True)
+                  col_idx=ids, values=np.ones(n))
     params = init_params(list(dims), seed=seed)
-    cache = LayerCache(adj=adj, num_in_batch=n)
+    cache = LayerCache(adj=adj)
     for l, d in enumerate(dims[1:]):
         cache.aggs.append(gen.normal(size=(n, dims[l])))
         h = gen.normal(size=(n, d))

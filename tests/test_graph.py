@@ -313,7 +313,8 @@ def test_t_matmul_matches_scatter_bitwise():
             x = rng.normal(size=(adj.num_rows, 6)).astype(dtype)
             got = adj.t_matmul(x)
             assert got.dtype == np.float64
-            assert np.array_equal(got, t_matmul_scatter_reference(adj, x))
+            # the targets' rows: a batch's halo rows are not computed
+            assert np.array_equal(got, t_matmul_scatter_reference(adj, x)[:adj.num_rows])
 
 
 # ---------------------------------------------------------------------------

@@ -29,4 +29,8 @@ def test_traced_sweep_child_reports_layers(tmp_path):
     assert layers["trainer.is_select_s"] > 0  # the rest_is arm selected its halos
     assert layers["trainer.refresh_rows"] > 0
     assert layers["model.fwd_l1.agg_s"] == 0  # every mode takes layer 1 from Â·X
+    # backward's transpose products reach the tracer through t_matmul, one
+    # per 2-layer step: the full anchor's 16 and the five memory arms' 16 each
+    assert layers["graph.agg_t_calls"] == 96
+    assert layers["model.bwd.agg_s"] > 0
     assert spans.stat().st_size > 0

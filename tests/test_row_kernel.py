@@ -1,7 +1,7 @@
-"""The row-parallel sparse kernel: `NormAdj.matmul`, and `t_matmul` of a
-symmetric operator, cut large products into row blocks run on helper
-threads. Every result must equal scipy's unsplit product bit for bit, and
-small products must never start a thread.
+"""The row-parallel sparse kernel: `NormAdj.matmul` and `NormAdj.t_matmul`
+cut large products into row blocks run on helper threads. Every result must
+equal scipy's unsplit product bit for bit (a transpose, the targets' rows of
+scipy's), and small products must never start a thread.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy.sparse import _sparsetools
 
 from staleburner import graph
 from staleburner.graph import NormAdj, csr_from_edges, normalize_adjacency, sbm_generate
-from staleburner.partition import make_batch, partition_graph
+from staleburner.partition import make_batch, make_batch_from_nodes, partition_graph
 from staleburner.trainer import TrainConfig, run_training
 
 from test_golden_records import GOLDEN_PATH, cases, digests
@@ -63,18 +63,22 @@ def hand_built() -> NormAdj:
 
 
 def operators() -> list[NormAdj]:
-    """Fresh operators (row bounds are cached per operator): a symmetric one
-    with isolated nodes, a rectangular batch operator, a one-node graph and
-    the hand-built non-symmetric one."""
+    """Fresh operators (row bounds are cached per operator), each the rows
+    of a symmetric one: whole graphs with isolated nodes, of one node and of
+    the batches that follow; one- and two-cluster batch operators; and the
+    halo batch rest_is builds for the latter."""
     ds = sbm_generate(4, 15, 0.3, 0.05, seed=2)
     src = np.array([0, 0, 3, 7, 7, 20, 21, 30], dtype=np.int64)
     dst = np.array([1, 5, 4, 8, 9, 21, 39, 31], dtype=np.int64)
     g = csr_from_edges(40, src, dst)  # most of the 40 nodes are isolated
     adj = normalize_adjacency(ds.graph)
-    batch = make_batch(adj, partition_graph(ds.graph, 4, seed=1), [0, 2])
-    assert batch.local_adj.num_cols > batch.local_adj.num_rows
+    part = partition_graph(ds.graph, 4, seed=1)
+    one_cluster, two_clusters = make_batch(adj, part, [1]), make_batch(adj, part, [0, 2])
+    halo = make_batch_from_nodes(adj, two_clusters.halo)
+    batches = [b.local_adj for b in (one_cluster, two_clusters, halo)]
+    assert all(b.num_cols > b.num_rows for b in batches)
     one = csr_from_edges(1, src[:0], dst[:0])
-    return [normalize_adjacency(g), batch.local_adj, normalize_adjacency(one), hand_built()]
+    return [normalize_adjacency(g), normalize_adjacency(one), adj] + batches
 
 
 BOUNDS = {
@@ -93,7 +97,8 @@ def test_split_products_equal_scipy_bitwise(monkeypatch, own_pool, kernel_calls,
                                              bounds, width, dtype):
     force_bounds(monkeypatch, BOUNDS[bounds])
     rng = np.random.default_rng(width)
-    for adj in operators():
+    ops = operators()
+    for adj in ops + [hand_built()]:
         x = rng.normal(size=(adj.num_cols, width)).astype(dtype)
         del kernel_calls[:]
         got = adj.matmul(x)
@@ -101,22 +106,25 @@ def test_split_products_equal_scipy_bitwise(monkeypatch, own_pool, kernel_calls,
         assert np.array_equal(got, adj.csr @ x)
         assert len(kernel_calls) == len(BOUNDS[bounds](adj.num_rows)) - 1
 
+    for adj in ops:
         xt = rng.normal(size=(adj.num_rows, width)).astype(dtype)
+        del kernel_calls[:]
         got = adj.t_matmul(xt)
         assert got.dtype == np.float64
-        assert np.array_equal(got, adj.csr.T @ xt)
+        assert np.array_equal(got, (adj.csr.T @ xt)[:adj.num_rows])
+        assert len(kernel_calls) == len(BOUNDS[bounds](adj.num_rows)) - 1
 
 
 def test_more_blocks_than_rows(monkeypatch, own_pool, kernel_calls):
     monkeypatch.setattr(graph, "SPLIT_WORK", 0)
     monkeypatch.setattr(graph, "_cpus", lambda: 9)
     x = np.random.default_rng(1).normal(size=(5, 3))
-    for adj in (hand_built(), normalize_adjacency(csr_from_edges(
-            5, np.array([0, 2]), np.array([1, 3])))):
+    symmetric = normalize_adjacency(csr_from_edges(5, np.array([0, 2]), np.array([1, 3])))
+    for adj in (hand_built(), symmetric):
         assert adj.row_bounds[0] == 0 and adj.row_bounds[-1] == 5
         assert len(adj.row_bounds) == 9 * graph.BLOCKS_PER_CPU + 1
         assert np.array_equal(adj.matmul(x), adj.csr @ x)
-        assert np.array_equal(adj.t_matmul(x), adj.csr.T @ x)
+    assert np.array_equal(symmetric.t_matmul(x), symmetric.csr.T @ x)
 
 
 def test_row_blocks_balance_nnz():
@@ -134,17 +142,24 @@ def test_row_blocks_balance_nnz():
             assert nnz.max() <= row_ptr[-1] / parts + lengths.max(initial=0)
 
 
-def test_symmetry_is_marked_where_built_not_inferred():
+def test_operators_put_their_targets_first():
+    """NormAdj's invariant, which t_matmul's row product rests on: the
+    operators the library builds take their rows from the symmetric Â, and
+    their first num_rows columns are the same targets in the same order."""
     ds = sbm_generate(4, 15, 0.3, 0.05, seed=2)
     adj = normalize_adjacency(ds.graph)
-    assert adj.symmetric
-    assert np.array_equal(adj.to_dense(), adj.to_dense().T)
-    assert not make_batch(adj, partition_graph(ds.graph, 1, seed=1), [0]).local_adj.symmetric
-    square = hand_built()
-    assert not square.symmetric
-    x = np.random.default_rng(4).normal(size=(5, 2))
-    assert np.allclose(square.t_matmul(x), square.to_dense().T @ x, rtol=0, atol=1e-14)
-    assert not np.allclose(square.t_matmul(x), square.matmul(x))
+    full = adj.to_dense()
+    assert np.array_equal(full, full.T)
+    part = partition_graph(ds.graph, 4, seed=1)
+    two_clusters = make_batch(adj, part, [0, 2])
+    for batch in (make_batch(adj, part, [1]), two_clusters,
+                  make_batch_from_nodes(adj, two_clusters.halo),
+                  make_batch(adj, partition_graph(ds.graph, 1, seed=1), [0])):
+        local = batch.local_adj.to_dense()
+        nb = batch.local_adj.num_rows
+        assert nb == len(batch.in_batch)
+        assert np.array_equal(local[:, :nb], full[np.ix_(batch.in_batch, batch.in_batch)])
+        assert np.array_equal(local[:, nb:], full[np.ix_(batch.in_batch, batch.halo)])
 
 
 def test_shape_mismatch_raises():
@@ -153,20 +168,29 @@ def test_shape_mismatch_raises():
         adj.matmul(np.ones((4, 2)))
     with pytest.raises(ValueError):
         adj.matmul(np.ones(5))
+    with pytest.raises(ValueError):
+        adj.t_matmul(np.ones((4, 2)))
+    batch = operators()[-2]  # two clusters and their halo
+    for rows in (1, batch.num_cols):  # one row would broadcast into the padding
+        with pytest.raises(ValueError, match="transpose"):
+            batch.t_matmul(np.ones((rows, 2)))
+    with pytest.raises(ValueError):
+        batch.t_matmul(np.ones(batch.num_rows))
 
 
 def test_symmetric_transpose_does_not_call_matmul(monkeypatch, own_pool):
     """A benchmark tracer wraps both methods; a nested call would count a
     transpose product twice."""
     force_bounds(monkeypatch, BOUNDS["halves"])
-    adj = normalize_adjacency(sbm_generate(4, 15, 0.3, 0.05, seed=2).graph)
 
     def forbidden(self, dense):
         raise AssertionError("t_matmul called matmul")
 
     monkeypatch.setattr(NormAdj, "matmul", forbidden)
-    x = np.random.default_rng(5).normal(size=(adj.num_rows, 4))
-    assert np.array_equal(adj.t_matmul(x), adj.csr.T @ x)
+    rng = np.random.default_rng(5)
+    for adj in operators():
+        x = rng.normal(size=(adj.num_rows, 4))
+        assert np.array_equal(adj.t_matmul(x), (adj.csr.T @ x)[:adj.num_rows])
 
 
 def test_helper_threads_run_only_the_scipy_kernel(monkeypatch):

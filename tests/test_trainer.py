@@ -10,7 +10,7 @@ import pytest
 
 from staleburner import trainer
 from staleburner.cli import main
-from staleburner.graph import normalize_adjacency, sbm_generate
+from staleburner.graph import NormAdj, normalize_adjacency, sbm_generate
 from staleburner.history import NEVER, HistoryTable, persistence_stats
 from staleburner.metrics import format_record
 from staleburner.model import (Adam, accuracy, backward, full_forward, init_params,
@@ -642,6 +642,43 @@ def test_divergence_aborts_with_checkpoint_dump(tmp_path):
         assert (tmp_path / f"{mode}_history_l1.bin").exists(), mode
 
 
+def csc_t_matmul(adj: NormAdj, g: np.ndarray) -> np.ndarray:
+    """The transpose product batch backward ran before every product took
+    the row kernel: scipy's CSC scatter into every column, then the halo
+    rows dropped."""
+    return (adj.csr.T @ g)[:adj.num_rows]
+
+
+@pytest.mark.parametrize("num_layers", [2, 3])
+@pytest.mark.parametrize("parts", [1, 4])  # one part: a batch with no halo
+def test_batch_backward_equals_scatter_transpose_bitwise(monkeypatch, num_layers, parts):
+    ds = sbm_generate(4, 30, 0.2, 0.02, seed=7)
+    g_norm = normalize_adjacency(ds.graph)
+    part = partition_graph(ds.graph, parts, seed=3)
+    batch = make_batch(g_norm, part, [0])
+    assert (len(batch.halo) > 0) == (parts > 1)
+    ax = g_norm.matmul(ds.features)
+    dims = [ds.num_features] + [16] * (num_layers - 1) + [ds.num_classes]
+    state = fresh_state(ds, dims, seed=num_layers)
+    # every table row written, so the halo rows are not zeros
+    rest_refresh_pass([make_batch(g_norm, part, list(range(parts)))], state, ax)
+    mask = ds.train_mask[batch.in_batch]
+
+    def gradients() -> list[bytes]:
+        hs, cache = batch_forward_with_history(batch, ax, state.params, state.history,
+                                               push=False, step=1)
+        _, dlogits = loss_and_grad(hs[-1], ds.labels[batch.in_batch], mask)
+        grads, d_hidden = backward(cache, dlogits, state.params)
+        return [a.tobytes() for a in grads.weights + grads.biases + d_hidden]
+
+    got = gradients()
+    calls = []
+    monkeypatch.setattr(NormAdj, "t_matmul",
+                        lambda adj, g: calls.append(1) or csc_t_matmul(adj, g))
+    assert gradients() == got
+    assert len(calls) == num_layers - 1
+
+
 def test_load_checkpoint_rejects_wrong_size(tmp_path, capsys):
     path = tmp_path / "m.ckpt"
     params = init_params([5, 4, 3], seed=2)
@@ -664,6 +701,14 @@ def test_load_checkpoint_rejects_wrong_size(tmp_path, capsys):
         trainer.load_checkpoint(str(path))
     assert main(["eval", "--checkpoint", str(path), "--data",
                  "sbm:blocks=3,nodes_per_block=12,p_in=0.4,p_out=0.05"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+    # an empty hidden layer: dims [5, 0, 3] also match their own size, 28 bytes
+    path.write_bytes(struct.pack("<4I", 2, 5, 0, 3) + bytes(12))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ": .*zero dimension"):
+        trainer.load_checkpoint(str(path))
+    assert main(["eval", "--checkpoint", str(path), "--data",
+                 "sbm:blocks=3,nodes_per_block=12,p_in=0.4,p_out=0.05,d_in=5"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
 
