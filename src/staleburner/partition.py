@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CsrGraph, NormAdj
+from .graph import CsrGraph, NormAdj, sorted_unique
 from .rng import Rng
 
 @dataclass(frozen=True)
@@ -94,6 +93,22 @@ def _proposals(g: CsrGraph, cluster_of: np.ndarray,
     return best, best_count, own_count
 
 
+def _next_level(g: CsrGraph, cluster_of: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """The unassigned neighbours of `level`'s nodes, each once, in the order
+    a BFS queue first takes them: by node of `level`, then by id."""
+    if len(level) == 1:  # one CSR row: sorted, without duplicates
+        v = int(level[0])
+        nbrs = g.col_idx[g.row_ptr[v]:g.row_ptr[v + 1]]
+        return nbrs[cluster_of[nbrs] < 0]
+    lo = g.row_ptr[level]
+    lengths = g.row_ptr[level + 1] - lo
+    ends = np.cumsum(lengths)
+    nbrs = g.col_idx[np.repeat(lo - ends + lengths, lengths) + np.arange(ends[-1])]
+    nbrs = nbrs[cluster_of[nbrs] < 0]
+    _, first = np.unique(nbrs, return_index=True)
+    return nbrs[np.sort(first)]
+
+
 def partition_graph(g: CsrGraph, num_parts: int, seed: int) -> Partition:
     """Cluster the graph into num_parts balanced, low-cut node sets.
 
@@ -107,22 +122,28 @@ def partition_graph(g: CsrGraph, num_parts: int, seed: int) -> Partition:
 
     rng = Rng(seed)
     degrees = g.degrees()
-    row_ptr, col_idx = g.row_ptr.tolist(), g.col_idx
     cluster_of = np.full(n, -1, dtype=np.int64)  # node -> part
     unassigned = n
     # nodes by (degree, id): the unassigned nodes of least degree, in id
     # order, are the unassigned part of the degree group at the first
-    # unassigned position
+    # unassigned position. Each re-seed moves that part to the group's end
+    # and the first position up to it, so no re-seed scans the nodes an
+    # earlier one found assigned.
     by_degree = np.argsort(degrees, kind="stable")
     degree_sorted = degrees[by_degree]
     first_free = 0
 
+    # BFS one level at a time, as a FIFO queue that skips nodes assigned
+    # since they were queued would pop them: every node of level k before
+    # any of level k + 1, which holds the unassigned neighbours of level k in
+    # the order they were first queued. A part whose target falls inside a
+    # level takes that level's first nodes and drops the rest.
     for part in range(num_parts):
         target = math.ceil(unassigned / (num_parts - part))
         size = 0
-        frontier: deque[int] = deque()
+        level = np.zeros(0, dtype=np.int64)
         while size < target:
-            if not frontier:
+            if len(level) == 0:
                 # new BFS seed: lowest-degree unassigned node, seeded tie-break
                 while cluster_of[by_degree[first_free]] >= 0:
                     first_free += 1
@@ -130,16 +151,16 @@ def partition_graph(g: CsrGraph, num_parts: int, seed: int) -> Partition:
                                             side="right")
                 group = by_degree[first_free:group_end]
                 cand = group[cluster_of[group] < 0]
-                frontier.append(int(cand[rng.below(len(cand))]))
-            v = frontier.popleft()
-            if cluster_of[v] >= 0:
-                continue
-            cluster_of[v] = part
-            size += 1
-            unassigned -= 1
-            for u in col_idx[row_ptr[v]:row_ptr[v + 1]].tolist():
-                if cluster_of[u] < 0:
-                    frontier.append(u)
+                first_free = group_end - len(cand)
+                by_degree[first_free:group_end] = cand
+                j = rng.below(len(cand))
+                level = cand[j:j + 1]
+            level = level[:target - size]
+            cluster_of[level] = part
+            size += len(level)
+            if size < target:
+                level = _next_level(g, cluster_of, level)
+        unassigned -= size
 
     # greedy boundary refinement: visiting nodes in id order, move a node to
     # the adjacent cluster holding most of its neighbors when that strictly
@@ -149,6 +170,7 @@ def partition_graph(g: CsrGraph, num_parts: int, seed: int) -> Partition:
     # whose proposal moves them and the neighbours of nodes that moved.
     cap = max(math.ceil(n / num_parts), math.floor(1.3 * n / num_parts))
     floor_size = max(1, math.floor(n / num_parts / 1.3))
+    row_ptr, col_idx = g.row_ptr.tolist(), g.col_idx
     assigned = cluster_of.tolist()  # live; cluster_of is refreshed after each sweep
     sizes = np.bincount(cluster_of, minlength=num_parts).tolist()
     for _ in range(10):
@@ -198,7 +220,7 @@ def partition_graph(g: CsrGraph, num_parts: int, seed: int) -> Partition:
 
 def make_batch_from_nodes(g_norm: NormAdj, node_ids: np.ndarray) -> MiniBatch:
     """Build a MiniBatch whose targets are an explicit node set."""
-    in_batch = np.unique(np.asarray(node_ids, dtype=np.int64))
+    in_batch = sorted_unique(np.asarray(node_ids, dtype=np.int64))
     if len(in_batch) == 0:
         raise ValueError("empty batch")
     lo = g_norm.row_ptr[in_batch]
@@ -208,7 +230,10 @@ def make_batch_from_nodes(g_norm: NormAdj, node_ids: np.ndarray) -> MiniBatch:
     # position in g_norm of every local entry, rows kept in in_batch order
     gather = np.repeat(lo - row_ptr[:-1], lengths) + np.arange(row_ptr[-1])
     cols = g_norm.col_idx[gather]
-    halo = np.setdiff1d(np.unique(cols), in_batch, assume_unique=True)
+    in_halo = np.zeros(g_norm.num_cols, dtype=bool)
+    in_halo[cols] = True
+    in_halo[in_batch] = False
+    halo = np.flatnonzero(in_halo)
 
     local_of = np.full(g_norm.num_cols, -1, dtype=np.int64)
     local_of[in_batch] = np.arange(len(in_batch))

@@ -9,8 +9,9 @@ Generator: xoshiro256** with its four state words filled from splitmix64, the
 combination recommended by the generators' reference implementations. Single
 draws use plain Python integers masked to 64 bits.
 
-Bulk draws (`next_u64s`, and through it `normals`, `uniforms` and
-`geometric_hits`) produce the same stream with numpy. The xoshiro state
+Bulk draws (`next_u64s`, and through it `normals`, `uniforms`,
+`geometric_hits` and the shuffle of a long list) produce the same stream
+with numpy. The xoshiro state
 update is linear over GF(2), so it is a 256x256 bit matrix T, and jumping the
 stream ahead by 2^k draws is one product with T^(2^k); those powers are
 built once per process by repeated squaring. A bulk draw of `count` values
@@ -33,6 +34,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0 ** -53
 
+# shuffles of at most this many items draw one value at a time: up to about
+# 250 items the scalar draws cost no more than next_u64s' lane set-up
+# (2-core VM: 250 against 300 us at 200 items, 1.9 against 0.54 ms at 1000)
+_SHUFFLE_SCALAR_MAX = 256
 _HIT_MARGIN = 5.0   # geometric_hits blocks hold this many standard deviations of spare draws
 
 
@@ -167,7 +172,32 @@ class Rng:
                 return x % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
+        """In-place Fisher-Yates shuffle: position i, from the last down to
+        1, swaps with position below(i + 1).
+
+        Above _SHUFFLE_SCALAR_MAX items the len - 1 draws come from one
+        next_u64s call and below()'s rejection bound is tested at every
+        position at once. A draw below(m) would reject has probability
+        under m / 2^64; if one occurs, the state goes back and the scalar
+        loop runs. Either way the swaps and the state after are those of
+        the scalar loop."""
+        n = len(items)
+        if n <= _SHUFFLE_SCALAR_MAX:
+            self._shuffle_scalar(items)
+            return
+        saved = self._s
+        x = self.next_u64s(n - 1)
+        m = np.arange(n, 1, -1, dtype=np.uint64)  # below()'s bound at each draw
+        # below(m) takes x when x <= 2^64 - 1 - (2^64 mod m), and 2^64 mod m
+        # is (0 - m) mod m in uint64
+        if not np.all(x <= np.uint64(_MASK64) - (np.uint64(0) - m) % m):
+            self._s = saved
+            self._shuffle_scalar(items)
+            return
+        for i, j in zip(range(n - 1, 0, -1), (x % m).tolist()):
+            items[i], items[j] = items[j], items[i]
+
+    def _shuffle_scalar(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from staleburner.graph import (CsrGraph, DatasetError, NormAdj, csr_from_edges,
+from staleburner.graph import (CsrGraph, Dataset, DatasetError, NormAdj, csr_from_edges,
                                load_dataset, normalize_adjacency, save_dataset,
                                sbm_generate, spectral_norm_upper)
 from staleburner.partition import make_batch, partition_graph
@@ -140,6 +140,36 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(back.train_mask, ds.train_mask)
     assert np.array_equal(back.val_mask, ds.val_mask)
     assert np.array_equal(back.test_mask, ds.test_mask)
+
+
+def edges_tsv_loop_reference(g):
+    """The per-edge loop save_dataset wrote edges.tsv with before it was
+    vectorized."""
+    lines = []
+    for v in range(g.num_nodes):
+        for u in g.neighbors(v):
+            if v < u:  # store each undirected edge once
+                lines.append(f"{v}\t{u}\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("graph", [
+    # nodes 3, 7 and 8 isolated; node 9's only edge goes to node 0
+    lambda: csr_from_edges(10, np.array([0, 1, 4, 5, 4, 9]), np.array([1, 2, 5, 6, 6, 0])),
+    lambda: csr_from_edges(4, np.zeros(0, np.int64), np.zeros(0, np.int64)),
+    lambda: sbm_generate(4, 30, 0.3, 0.03, seed=1).graph,
+], ids=["isolated", "edgeless", "sbm"])
+def test_save_dataset_edges_match_loop_writer(tmp_path, graph):
+    g = graph()
+    n = g.num_nodes
+    ds = Dataset(graph=g, features=np.zeros((n, 2), dtype=np.float32),
+                 labels=np.zeros(n, dtype=np.int64), train_mask=np.ones(n, dtype=bool),
+                 val_mask=np.zeros(n, dtype=bool), test_mask=np.zeros(n, dtype=bool))
+    save_dataset(ds, str(tmp_path / "d"))
+    assert (tmp_path / "d" / "edges.tsv").read_bytes() == edges_tsv_loop_reference(g)
+    back = load_dataset(str(tmp_path / "d"))
+    assert np.array_equal(back.graph.row_ptr, g.row_ptr)
+    assert np.array_equal(back.graph.col_idx, g.col_idx)
 
 
 def test_save_dataset_refuses_node_in_no_mask(tmp_path):

@@ -149,9 +149,18 @@ def test_batch_arrays_match_loop_reference():
     grad = make_batch(g_norm, part, [1, 4])
     halo_batches = rest_is_refresh_selection(grad, g_norm)
     assert len(halo_batches) == 1
-    for batch in [grad] + halo_batches:
-        halo, row_ptr, col_idx, values = batch_from_nodes_loop_reference(
-            g_norm, batch.in_batch)
+    # unsorted node ids with repeats: the batch takes each node once, in id order
+    ids = np.concatenate([part.clusters[3][::-1], part.clusters[0], part.clusters[3][:5]])
+    unsorted = make_batch_from_nodes(g_norm, ids)
+    assert np.array_equal(unsorted.in_batch, np.unique(ids))
+    # a triangle and an isolated node, whose batch has no halo
+    isolated = normalize_adjacency(_with_isolated_nodes())
+    halo_free = make_batch_from_nodes(isolated, np.array([6, 3, 4, 5, 4]))
+    assert len(halo_free.halo) == 0
+    cases = [(g_norm, b) for b in [grad, *halo_batches, unsorted]] + [(isolated, halo_free)]
+    for g, batch in cases:
+        halo, row_ptr, col_idx, values = batch_from_nodes_loop_reference(g, batch.in_batch)
+        assert batch.halo.dtype == np.int64 and batch.in_batch.dtype == np.int64
         assert np.array_equal(batch.halo, halo)
         assert batch.local_adj.num_cols == len(batch.in_batch) + len(halo)
         assert np.array_equal(batch.local_adj.row_ptr, row_ptr)
@@ -234,6 +243,16 @@ def _with_isolated_nodes():
     return csr_from_edges(9, np.array([0, 1, 4, 5, 4]), np.array([1, 2, 5, 6, 6]))
 
 
+def _paths_stars_isolated():
+    # 300 disjoint 3-node paths, 40 stars of 6 leaves, then 30 isolated nodes
+    path = np.arange(300, dtype=np.int64) * 3
+    center = 900 + np.arange(40, dtype=np.int64) * 7
+    leaves = (center[:, None] + np.arange(1, 7)).ravel()
+    return csr_from_edges(900 + 280 + 30,
+                          np.concatenate([path, path + 1, np.repeat(center, 6)]),
+                          np.concatenate([path + 1, path + 2, leaves]))
+
+
 PARTITION_CASES = [
     ("sbm-4x30", lambda: sbm_generate(4, 30, 0.3, 0.03, seed=1).graph, [1, 3, 6, 120]),
     ("sbm-5x40", lambda: sbm_generate(5, 40, 0.2, 0.02, seed=2).graph, [8, 40]),
@@ -244,6 +263,9 @@ PARTITION_CASES = [
     ("isolated", _with_isolated_nodes, [1, 2, 3, 9]),
     ("edgeless", lambda: csr_from_edges(5, np.zeros(0, np.int64), np.zeros(0, np.int64)),
      [1, 2, 5]),
+    # BFS re-seeds after every path and star, and parts that fill up in the
+    # middle of a star's leaf level
+    ("paths-stars-isolated", _paths_stars_isolated, [7, 64]),
     # one edge, and node blocks of the proposal pass with no edge at all
     ("one-edge-8k", lambda: csr_from_edges(8300, np.array([8250]), np.array([8251])), [3]),
 ]

@@ -21,7 +21,8 @@ def test_records_check_prints_one_hash_per_arm():
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr[-2000:]
-    lines = proc.stdout.strip().splitlines()
+    setup_line, *lines = proc.stdout.strip().splitlines()
+    assert re.fullmatch("sweep-2k seed 0 setup [0-9a-f]{64}", setup_line), setup_line
     modes = ["full", "rest", "rest", "rest", "rest", "rest_is"]  # perfbench/workloads.py
     assert len(lines) == len(modes)
     for i, (line, mode) in enumerate(zip(lines, modes)):

@@ -192,3 +192,49 @@ def test_geometric_hits_across_short_blocks(monkeypatch):
     assert a.geometric_hits(0.02, 3_000_000).tolist() == \
         geometric_hits_reference(b, 0.02, 3_000_000)
     assert a._s == b._s
+
+
+# ---------------------------------------------------------------------------
+# shuffle: the bulk path must reproduce a Fisher-Yates loop of below() draws
+
+def shuffle_reference(r, items):
+    for i in range(len(items) - 1, 0, -1):
+        j = r.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("size", sorted({
+    0, 1, 2, 7, 200, 1000, 5000,
+    rng_module._SHUFFLE_SCALAR_MAX, rng_module._SHUFFLE_SCALAR_MAX + 1}))
+def test_shuffle_matches_below_loop(size):
+    a, b = Rng(53), Rng(53)
+    got, want = list(range(size)), list(range(size))
+    a.shuffle(got)
+    shuffle_reference(b, want)
+    assert got == want
+    assert a.next_u64() == b.next_u64()
+
+
+def test_shuffle_replays_a_rejected_draw(monkeypatch):
+    size, pos = 1000, 3  # draw 3 is below(997); 2^64 - 1 is above its bound
+    m = size - pos
+    assert 2**64 % m != 0
+    bulk = Rng.next_u64s
+    draws = bulk(Rng(59), size - 1)
+    assert int(draws[pos]) % m != (2**64 - 1) % m  # taking the draw would show
+    calls = []
+
+    def rejected_at_pos(self, count):
+        calls.append(count)
+        x = bulk(self, count)
+        x[pos] = np.uint64(2**64 - 1)
+        return x
+
+    monkeypatch.setattr(Rng, "next_u64s", rejected_at_pos)
+    a, b = Rng(59), Rng(59)
+    got, want = list(range(size)), list(range(size))
+    a.shuffle(got)
+    shuffle_reference(b, want)
+    assert calls == [size - 1]
+    assert got == want
+    assert a._s == b._s
