@@ -31,10 +31,11 @@ class BoundCheckResult:
     output_bound: float     # telescoped bound on that gap
 
 
-def _ratio(lhs: float, rhs: float) -> float:
-    if rhs <= 0.0:
-        return 0.0 if lhs < 1e-12 else float("inf")
-    return lhs / rhs
+def _ratio(lhs, rhs) -> np.ndarray:
+    """lhs / rhs elementwise; where rhs is not positive, 0 for a zero lhs
+    and inf otherwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rhs > 0.0, lhs / rhs, np.where(lhs < 1e-12, 0.0, np.inf))
 
 
 def bound_check_instance(seed: int, n: int = 50, num_layers: int = 2,
@@ -81,16 +82,13 @@ def bound_check_instance(seed: int, n: int = 50, num_layers: int = 2,
     consts.validate()
     lhs_matrix = float(np.linalg.norm(diff))
     rhs_matrix = gradient_error_bound(consts, errors, node=None)
-    node_ratio = 0.0
     row_norms = np.linalg.norm(diff, axis=1)
-    for v in range(n_actual):
-        node_ratio = max(node_ratio,
-                         _ratio(float(row_norms[v]), gradient_error_bound(consts, errors, node=v)))
+    node_rhs = gradient_error_bound(consts, errors, node=np.arange(n_actual))
 
     out_gap = float(np.linalg.norm(run_logits - oracle_hs[-1]))
     out_bound = telescoped_output_bound(consts, errors)
-    return BoundCheckResult(matrix_ratio=_ratio(lhs_matrix, rhs_matrix),
-                            node_ratio=node_ratio,
+    return BoundCheckResult(matrix_ratio=float(_ratio(lhs_matrix, rhs_matrix)),
+                            node_ratio=float(_ratio(row_norms, node_rhs).max(initial=0.0)),
                             output_gap=out_gap, output_bound=out_bound)
 
 
@@ -104,5 +102,5 @@ def run_bound_check(seeds: int, n: int = 50,
             res = bound_check_instance(seed=s * 7919 + num_layers, n=n,
                                        num_layers=num_layers)
             worst = max(worst, res.matrix_ratio, res.node_ratio,
-                        _ratio(res.output_gap, res.output_bound))
+                        float(_ratio(res.output_gap, res.output_bound)))
     return worst

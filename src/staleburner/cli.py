@@ -63,6 +63,7 @@ class ConfigError(ValueError):
 
 def parse_config(path: str) -> dict:
     out: dict = {}
+    line_of: dict[str, int] = {}
     with open(path) as f:
         for ln, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
@@ -73,6 +74,10 @@ def parse_config(path: str) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+            if key in line_of:
+                raise ConfigError(
+                    f"{path}:{ln}: key {key!r} already set on line {line_of[key]}")
+            line_of[key] = ln
             try:
                 out[key] = _CONFIG_KEYS[key](value)
             except ValueError:

@@ -146,12 +146,14 @@ def bound_constants(params: GcnParams, adj: NormAdj, tol: float = 1e-3
 
 
 def gradient_error_bound(consts: BoundConstants, layer_errors: list[float],
-                 node: int | None = None) -> float:
+                         node: int | np.ndarray | None = None
+                         ) -> float | np.ndarray:
     """Evaluate the gradient-error bound.
 
     layer_errors[l] is the error of layer-l rows (l = 0 is the input layer
     and is 0 whenever raw features feed the first layer). node selects the
-    per-node form; None uses the matrix form with the operator norm.
+    per-node form: a node id gives that node's bound, an array of ids one
+    bound per id. None uses the matrix form with the operator norm.
     """
     L = len(consts.alpha)
     if len(layer_errors) != L:

@@ -8,7 +8,6 @@ cap of 1.3 * n / P. Quality is reported (edge cut), not assumed.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -16,6 +15,12 @@ import numpy as np
 
 from .graph import CsrGraph, NormAdj, sorted_unique
 from .rng import Rng
+
+
+def balance_cap(num_nodes: int, num_parts: int) -> int:
+    """Largest cluster size allowed: 1.3 * n / P, never below ceil(n / P)."""
+    return max(math.ceil(num_nodes / num_parts), math.floor(1.3 * num_nodes / num_parts))
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -31,7 +36,7 @@ class Partition:
         sizes = np.bincount(self.cluster_of, minlength=self.num_parts)
         if np.any(sizes == 0):
             raise ValueError("empty cluster")
-        cap = max(math.ceil(n / self.num_parts), math.floor(1.3 * n / self.num_parts))
+        cap = balance_cap(n, self.num_parts)
         if sizes.max() > cap:
             raise ValueError(f"cluster size {sizes.max()} exceeds balance cap {cap}")
 
@@ -163,53 +168,44 @@ def partition_graph(g: CsrGraph, num_parts: int, seed: int) -> Partition:
         unassigned -= size
 
     # greedy boundary refinement: visiting nodes in id order, move a node to
-    # the adjacent cluster holding most of its neighbors when that strictly
-    # reduces the cut and respects the balance cap. A node's proposal changes
-    # within a sweep only once a lower-id neighbour has moved, so each sweep
-    # computes all proposals up front and visits, in id order, only the nodes
-    # whose proposal moves them and the neighbours of nodes that moved.
-    cap = max(math.ceil(n / num_parts), math.floor(1.3 * n / num_parts))
+    # the adjacent cluster holding most of its neighbours (lowest id on ties)
+    # when that strictly reduces the cut and keeps the size cap and floor.
+    # Proposals change within a sweep only where a lower-id neighbour moved,
+    # so a sweep computes them all up front, then scans a pending mask
+    # upward; a move marks the node's higher-id neighbours pending and dirty,
+    # and a dirty node is counted again from the live cluster_of.
+    cap = balance_cap(n, num_parts)
     floor_size = max(1, math.floor(n / num_parts / 1.3))
     row_ptr, col_idx = g.row_ptr.tolist(), g.col_idx
-    assigned = cluster_of.tolist()  # live; cluster_of is refreshed after each sweep
     sizes = np.bincount(cluster_of, minlength=num_parts).tolist()
     for _ in range(10):
         best, best_count, own_count = _proposals(g, cluster_of, num_parts)
-        movable = best_count > own_count
-        queue = np.flatnonzero(movable).tolist()  # sorted, so already a heap
-        queued = bytearray(movable.tobytes())
-        dirty = bytearray(n)  # a lower-id neighbour moved in this sweep
+        pending = bytearray((best_count > own_count).tobytes())
+        pending_mask = np.frombuffer(pending, dtype=bool)
+        dirty = np.zeros(n, dtype=bool)  # a lower-id neighbour moved in this sweep
         moved = 0
-        while queue:
-            v = heapq.heappop(queue)
-            cur = assigned[v]
-            nbrs = col_idx[row_ptr[v]:row_ptr[v + 1]].tolist()
+        v = -1
+        while (v := pending.find(1, v + 1)) >= 0:
+            cur = cluster_of.item(v)
+            nbrs = col_idx[row_ptr[v]:row_ptr[v + 1]]
             if dirty[v]:
-                counts: dict[int, int] = {}
-                for u in nbrs:
-                    c = assigned[u]
-                    counts[c] = counts.get(c, 0) + 1
-                most = max(counts.values())
-                dest = min(c for c, k in counts.items() if k == most)
-                if most <= counts.get(cur, 0):
+                counts = np.bincount(cluster_of[nbrs], minlength=num_parts)
+                dest = counts.argmax().item()
+                if counts[dest] <= counts[cur]:
                     continue
             else:
-                dest = int(best[v])
+                dest = best.item(v)
             if sizes[dest] + 1 > cap or sizes[cur] - 1 < floor_size:
                 continue
-            assigned[v] = dest
+            cluster_of[v] = dest
             sizes[cur] -= 1
             sizes[dest] += 1
             moved += 1
-            for u in nbrs:
-                if u > v:
-                    dirty[u] = 1
-                    if not queued[u]:
-                        queued[u] = 1
-                        heapq.heappush(queue, u)
+            later = nbrs[nbrs > v]
+            dirty[later] = True
+            pending_mask[later] = True
         if moved == 0:
             break
-        cluster_of = np.array(assigned, dtype=np.int64)
 
     clusters = tuple(np.flatnonzero(cluster_of == p) for p in range(num_parts))
     part = Partition(num_parts=num_parts, cluster_of=cluster_of,

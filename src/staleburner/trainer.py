@@ -31,7 +31,6 @@ stay bit-identical.
 
 from __future__ import annotations
 
-import logging
 import math
 import struct
 import time
@@ -48,8 +47,6 @@ from .model import (Adam, GcnParams, LayerCache, backward,
 from .partition import (MiniBatch, Partition, make_batch,
                         make_batch_from_nodes, schedule_epoch)
 from .rng import derive_seed
-
-log = logging.getLogger(__name__)
 
 MODES = ("full", "gas", "rest", "rest_is")
 
@@ -185,8 +182,6 @@ def rest_is_refresh_selection(grad_batch: MiniBatch,
     refresh.
     """
     if len(grad_batch.halo) == 0:
-        log.warning("gradient batch has no out-of-batch neighbors; "
-                    "importance refresh degenerates to plain history fill")
         return []
     return [make_batch_from_nodes(g_norm, grad_batch.halo)]
 

@@ -137,6 +137,13 @@ def test_parse_config_types(tmp_path):
         parse_config(str(path))
 
 
+def test_parse_config_refuses_a_key_set_twice(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("lr=0.05\n# comment\nepochs=3\n\nlr = 0.1\n")
+    with pytest.raises(ConfigError, match="c.cfg:5: key 'lr' already set on line 1"):
+        parse_config(str(path))
+
+
 def test_config_keys_land_on_train_config_fields(tmp_path, monkeypatch):
     monkeypatch.delenv("STALEBURNER_SEED", raising=False)
     # a key left out keeps the TrainConfig default

@@ -23,7 +23,6 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
-import logging  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -67,8 +66,6 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     p.add_argument("--seed", type=int, required=True)
     args = p.parse_args(argv)
-    # rest_is logs a warning for gradient batches without a halo
-    logging.disable(logging.WARNING)
     w = WORKLOADS[args.workload]
     ds, part = setup(w, args.seed)
     print(f"{args.workload} seed {args.seed} setup {setup_hash(ds, part)}", flush=True)
