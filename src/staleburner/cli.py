@@ -183,6 +183,9 @@ def _cmd_eval(args) -> int:
     if params.dims[0] != ds.num_features:
         raise ConfigError(
             f"checkpoint expects {params.dims[0]} features, dataset has {ds.num_features}")
+    if params.dims[-1] != ds.num_classes:
+        raise ConfigError(
+            f"checkpoint outputs {params.dims[-1]} classes, dataset has {ds.num_classes}")
     acc_tr, acc_val, acc_te = evaluate(normalize_adjacency(ds.graph), ds, params)
     print(f"acc_train={acc_tr:.9g} acc_val={acc_val:.9g} acc_test={acc_te:.9g}")
     return 0

@@ -526,8 +526,14 @@ def load_dataset(path: str) -> Dataset:
             feats.append(row)
     if not feats:
         raise DatasetError("features.csv: empty")
-    features = np.array(feats, dtype=np.float32)
+    with np.errstate(over="ignore"):  # refused just below
+        features = np.array(feats, dtype=np.float32)
     n = len(feats)
+    # nan, inf and values past float32's range would only surface as a
+    # non-finite forward, naming no file
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise DatasetError(f"features.csv:{int(np.argmin(finite)) + 1}: non-finite value")
 
     labels = np.empty(n, dtype=np.int64)
     with open(os.path.join(path, "labels.csv")) as f:

@@ -95,7 +95,7 @@ class LayerCache:
 
 def layer_apply(adj: NormAdj, inputs: np.ndarray | None, w: np.ndarray,
                 b: np.ndarray, last: bool, agg: np.ndarray | None = None,
-                keep_z: bool = False
+                keep_z: bool = False, out: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """One propagation layer; returns (agg, pre-activation, output). A given
     `agg` is adj @ inputs already computed, and inputs are then unused.
@@ -103,10 +103,19 @@ def layer_apply(adj: NormAdj, inputs: np.ndarray | None, w: np.ndarray,
     The bias and a hidden layer's ReLU are applied in place in the product's
     array, so the pre-activation is returned as None unless `keep_z` asks
     for it (at the cost of a second array); on the last layer it is the
-    output."""
+    output. A given `out`, a float64 array of the output's shape, is that
+    array: the layer overwrites it through numpy's out= and returns it,
+    bit for bit what a fresh array would hold. Another shape or dtype, or
+    `out` with keep_z=True, raises ValueError."""
+    if out is not None:
+        shape = (adj.num_rows, w.shape[1])
+        if keep_z:
+            raise ValueError("out holds the output only; keep_z=True needs a second array")
+        if out.shape != shape or out.dtype != np.float64:
+            raise ValueError(f"out is {out.dtype} {out.shape}, the layer writes float64 {shape}")
     if agg is None:
         agg = adj.matmul(inputs)
-    z = np.empty((agg.shape[0], w.shape[1]))
+    z = np.empty((agg.shape[0], w.shape[1])) if out is None else out
     h = None if last else np.empty_like(z) if keep_z else z
     bounds = even_blocks(len(z), w.size)
     run_blocks(_affine_rows, [(agg[r0:r1], w, b, z[r0:r1], None if h is None else h[r0:r1])
@@ -127,22 +136,33 @@ def _affine_rows(agg: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray,
 
 
 def full_forward(adj: NormAdj, features: np.ndarray, params: GcnParams,
-                 agg: np.ndarray | None = None, keep_z: bool = True
+                 agg: np.ndarray | None = None, keep_z: bool = True,
+                 out: list[np.ndarray] | None = None
                  ) -> tuple[list[np.ndarray], LayerCache]:
     """Whole-graph forward at current parameters; the reference against which
     memory-filled runs are measured. `agg`, when given, is adj @ features
     (parameter-free) and stands in for layer 1's aggregation. With
     keep_z=False the cache holds no pre-activations, one n x d array less
-    per hidden layer; backward does not need them."""
+    per hidden layer; backward does not need them.
+
+    `out`, one array per layer, receives the layer outputs as layer_apply's
+    `out` does, and the returned list holds those same arrays, so a caller
+    can hand back the outputs of a forward it no longer reads and allocate
+    no n x d output. The aggregations stay fresh per call. A list of
+    another length, an array of the wrong shape, or `out` with keep_z=True
+    raises ValueError."""
     n = adj.num_rows
     if features.shape[0] != n:
         raise ValueError("feature rows != graph size")
+    if out is not None and len(out) != params.num_layers:
+        raise ValueError(f"out holds {len(out)} arrays for {params.num_layers} layers")
     cache = LayerCache(adj=adj)
     h = None if agg is not None else features.astype(np.float64, copy=False)
     for l in range(params.num_layers):
         a, z, h = layer_apply(adj, h, params.weights[l], params.biases[l],
                               last=(l == params.num_layers - 1),
-                              agg=agg if l == 0 else None, keep_z=keep_z)
+                              agg=agg if l == 0 else None, keep_z=keep_z,
+                              out=None if out is None else out[l])
         cache.aggs.append(a)
         if keep_z:
             cache.zs.append(z)

@@ -20,10 +20,13 @@ strictly sequential: refresh batches in listed order, then the gradient
 batch. All modes collapse to identical full-batch steps when the partition
 has a single cluster.
 
-Every step ends with a whole-graph evaluate. The run holds that one forward
-until the next gradient step moves the parameters: it is the oracle of the
-probe that opens the next step and, in full mode, the next gradient step's
-forward. Every mode computes Â·X once per run, so no forward aggregates X:
+Every step ends with a whole-graph evaluate. That one forward serves until
+the next gradient step moves the parameters: it is the oracle of the probe
+that opens the next step and, in full mode, the next gradient step's
+forward. The run then keeps it as stale, and the next whole-graph forward
+writes its layer outputs into the stale one's arrays, so only a run's first
+whole-graph forward allocates them; each aggregation stays a per-call
+temporary. Every mode computes Â·X once per run, so no forward aggregates X:
 batch forwards gather layer 1's rows and whole-graph forwards take it whole.
 Refresh forwards stop at the last layer they push. Records and parameters
 stay bit-identical.
@@ -323,18 +326,22 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     # Â·X is parameter-free, so every batch forward gathers layer 1's rows
     # and every whole-graph forward takes it whole instead of aggregating
     ax = g_norm.matmul(ds.features)
-    held: LayerCache | None = None  # the whole-graph forward, None once the parameters move
+    held: LayerCache | None = None  # the last whole-graph forward
+    stale = True  # held is missing or ran at parameters that have since moved
 
     def whole_forward() -> LayerCache:
         """The whole-graph forward at the current parameters, run once per
         version: evaluate's is the next probe's oracle and, in full mode, the
         next gradient forward, whose backward and loss consume the
-        intermediates kept only in that mode. Never two at once."""
-        nonlocal held
-        if held is None:
+        intermediates kept only in that mode. Never two at once. A stale
+        forward's layer outputs are overwritten by the next, so only the
+        run's first forward allocates them; the aggregations stay per call."""
+        nonlocal held, stale
+        if stale:
             hs, cache = full_forward(g_norm, ds.features, state.params, agg=ax,
-                                     keep_z=False)
+                                     keep_z=False, out=None if held is None else held.hs)
             held = LayerCache(adj=g_norm, hs=hs) if memory else cache
+            stale = False
         return held
 
     if cfg.warmup_refresh and memory:
@@ -358,7 +365,6 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
                 refresh = rest_is_refresh_selection(grad_batch, g_norm)
             try:
                 rest_refresh_pass(refresh, state, ax)
-                # the held forward is passed, never bound, so `held = None` frees it
                 loss = train_step_gas(grad_batch, state, ds, ax,
                                       forward=None if memory else whole_forward())
             except FloatingPointError:
@@ -367,7 +373,7 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
                     table = state.history if memory else HistoryTable(n, dims[1:-1])
                     table.dump(dump_prefix + "_history")
                 raise
-            held = None  # the parameters moved
+            stale = True  # the parameters moved
             wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
             acc_tr, acc_val, acc_te = evaluate(g_norm, ds, state.params, whole_forward)
             records.append(MetricsRecord(

@@ -182,6 +182,24 @@ def test_checkpoint_and_eval(tmp_path, capsys):
     assert 0.0 <= float(parts["acc_val"]) <= 1.0
 
 
+def test_eval_refuses_checkpoint_with_wrong_class_count(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg",  # 3 classes
+                       dataset="sbm:blocks=3,nodes_per_block=12,p_in=0.4,p_out=0.05,d_in=6")
+    ckpt = tmp_path / "model.ckpt"
+    code, _, _ = run_cli(capsys, "train", "--config", cfg, "--out", str(tmp_path / "m.csv"),
+                         "--checkpoint", str(ckpt))
+    assert code == 0
+    # the same feature width, 5 classes
+    code, stdout, stderr = run_cli(
+        capsys, "eval", "--checkpoint", str(ckpt),
+        "--data", "sbm:blocks=5,nodes_per_block=12,p_in=0.4,p_out=0.05,d_in=6")
+    assert code == 1
+    assert stdout == ""
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ConfigError:")
+    assert "3 classes" in lines[0] and "has 5" in lines[0]
+
+
 def test_eval_is_deterministic_on_regenerated_dataset(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg")
     ckpt = tmp_path / "model.ckpt"

@@ -56,6 +56,15 @@ def test_load_ragged_features(tmp_path):
         load_dataset(str(tmp_path))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+def test_load_non_finite_features(tmp_path, value):
+    # 1e39 parses, then overflows float32 to inf
+    write_dataset_dir(tmp_path, [(0, 1)], [[1.0, 2.0], [3.0, value]], [0, 0],
+                      ["train", "train"])
+    with pytest.raises(DatasetError, match=r"features\.csv:2: non-finite value"):
+        load_dataset(str(tmp_path))
+
+
 def test_load_bad_mask_token(tmp_path):
     write_dataset_dir(tmp_path, [(0, 1)], [[1.0], [2.0]], [0, 1],
                       ["train", "holdout"])

@@ -546,6 +546,47 @@ def test_full_mode_shares_evaluate_forward_with_next_step(monkeypatch):
     assert calls == ["full_forward"] * 6
 
 
+@pytest.mark.parametrize("mode,probe_every", [("full", 0), ("rest", 1), ("rest_is", 0)])
+def test_whole_graph_forwards_reuse_the_first_forwards_arrays(monkeypatch, mode, probe_every):
+    ds = small_dataset(seed=19)
+    part = partition_graph(ds.graph, 4, seed=2)
+    addresses, kept = [], []
+    real = trainer.full_forward
+
+    def full(*a, **kw):
+        hs, cache = real(*a, **kw)
+        addresses.append([h.ctypes.data for h in hs])
+        kept.append(list(hs))  # so a freed array's address cannot come back
+        return hs, cache
+
+    monkeypatch.setattr(trainer, "full_forward", full)
+    records, _ = run_training(TrainConfig(mode=mode, epochs=2, hidden=4, seed=1,
+                                          num_layers=3, probe_every=probe_every), ds, part)
+    assert len(addresses) >= len(records) > 1
+    # only the run's first forward allocates its layer outputs
+    assert all(a == addresses[0] for a in addresses[1:])
+
+
+def test_full_forward_refuses_a_bad_out():
+    ds = small_dataset()
+    g = normalize_adjacency(ds.graph)
+    params = init_params([ds.num_features, 5, ds.num_classes], seed=0)
+    n = ds.graph.num_nodes
+    hs, _ = full_forward(g, ds.features, params, keep_z=False)
+    out = [np.empty_like(h) for h in hs]
+    hs2, _ = full_forward(g, ds.features, params, keep_z=False, out=out)
+    assert all(a is b for a, b in zip(hs2, out))
+    assert all(np.array_equal(a, b) for a, b in zip(hs, hs2))
+    for bad in ([np.empty((n, 5)), np.empty((n, 5))],         # wrong width
+                [np.empty((n - 1, 5)), np.empty_like(hs[1])],  # wrong row count
+                [np.empty((n, 5), dtype=np.float32), np.empty_like(hs[1])],
+                out[:1]):                                       # one array for two layers
+        with pytest.raises(ValueError, match="out"):
+            full_forward(g, ds.features, params, keep_z=False, out=bad)
+    with pytest.raises(ValueError, match="keep_z"):
+        full_forward(g, ds.features, params, keep_z=True, out=out)
+
+
 def test_probe_reuses_evaluate_forward(monkeypatch):
     ds = small_dataset(seed=19)
     part = partition_graph(ds.graph, 4, seed=2)
