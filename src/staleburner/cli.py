@@ -144,8 +144,8 @@ def _cmd_partition(args) -> int:
     ds = load_data_source(args.data, args.seed)
     part = partition_graph(ds.graph, args.parts, derive_seed(args.seed, "partition"))
     with open(args.out, "w") as f:
-        for v in range(ds.graph.num_nodes):
-            f.write(f"{v},{part.cluster_of[v]}\n")
+        f.write("".join(map("{},{}\n".format, range(ds.graph.num_nodes),
+                            part.cluster_of.tolist())))
     sizes = [len(c) for c in part.clusters]
     print(json.dumps({"parts": part.num_parts, "edge_cut": part.edge_cut,
                       "max_size": max(sizes)}))

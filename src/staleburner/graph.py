@@ -490,12 +490,10 @@ def save_dataset(ds: Dataset, path: str) -> None:
         for row in ds.features:
             f.write(",".join(f"{x:.9g}" for x in row) + "\n")
     with open(os.path.join(path, "labels.csv"), "w") as f:
-        for y in ds.labels:
-            f.write(f"{y}\n")
+        f.write("".join(map("{}\n".format, ds.labels.tolist())))
+    split = np.where(ds.train_mask, "train", np.where(ds.val_mask, "val", "test"))
     with open(os.path.join(path, "masks.csv"), "w") as f:
-        for i in range(g.num_nodes):
-            name = "train" if ds.train_mask[i] else ("val" if ds.val_mask[i] else "test")
-            f.write(name + "\n")
+        f.write("".join(map("{}\n".format, split.tolist())))
 
 
 def load_dataset(path: str) -> Dataset:

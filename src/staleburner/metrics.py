@@ -79,21 +79,49 @@ def export_metrics(series: list[MetricsRecord], path: str) -> None:
             f.write(format_record(r) + "\n")
 
 
-# rows per float64 difference block in approximation_error
-APX_BLOCK_ROWS = 4096
+# bytes of the float64 block buffer approximation_error reuses: below
+# glibc's smallest mmap threshold (128 KiB), so it is heap memory, not a
+# fresh mapping to fault in on every call
+APX_BLOCK_BYTES = 1 << 16
 
 
-def _mean_row_distance(stored: np.ndarray, fresh: np.ndarray, rows: np.ndarray
-                       ) -> float:
-    """Mean L2 distance between stored[rows] and fresh[rows], one block of
-    rows at a time, so no float64 copy of every row is built. A row's norm
-    does not depend on its block, so the mean is the one-block value."""
-    norms = np.empty(len(rows))
-    for start in range(0, len(rows), APX_BLOCK_ROWS):
-        r = rows[start:start + APX_BLOCK_ROWS]
-        diff = stored[r].astype(np.float64) - fresh[r]
-        norms[start:start + len(r)] = np.linalg.norm(diff, axis=1)
+def _mean_row_distance(stored: np.ndarray, fresh: np.ndarray,
+                       warm: np.ndarray | None = None) -> float:
+    """Mean L2 distance between the rows of stored and fresh, two arrays of
+    one (n, d) shape, over the rows the boolean mask `warm` selects (None:
+    every row).
+
+    The call allocates two arrays: the n-float vector of row norms and one
+    float64 buffer of at most APX_BLOCK_BYTES (one row if a row is larger);
+    a mask adds the vector of its rows' norms. Row slices, never gathers,
+    pass through the buffer a block at a time: the stored rows cast to
+    float64, minus the fresh rows, squared, summed per row, then the square
+    roots. These are the operations of np.linalg.norm(stored.astype(
+    np.float64) - fresh, axis=1) in the same order, and a row's norm does
+    not depend on its block, so every norm and the mean have the
+    whole-array formula's bits. The cast is a copy into the buffer, since a
+    casting ufunc allocates a 64 KiB buffer of its own on every call."""
+    n, d = stored.shape
+    rows = max(1, APX_BLOCK_BYTES // max(1, 8 * d))
+    norms = np.empty(n)
+    buf = np.empty((min(rows, n), d))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        blk = buf[:stop - start]
+        np.copyto(blk, stored[start:stop])  # the exact float64 cast, unbuffered
+        np.subtract(blk, fresh[start:stop], out=blk)
+        np.multiply(blk, blk, out=blk)
+        np.add.reduce(blk, axis=1, out=norms[start:stop])
+    np.sqrt(norms, out=norms)
+    if warm is not None:
+        norms = norms[warm]
     return float(norms.mean())
+
+
+def _check_shapes(stored: np.ndarray, fresh: np.ndarray, what: str) -> None:
+    if stored.ndim != 2 or stored.shape != fresh.shape:
+        raise ValueError(f"approximation_error: {what} has shape {stored.shape}, "
+                         f"the oracle {fresh.shape}")
 
 
 def approximation_error(source, oracle) -> list[float] | float:
@@ -103,18 +131,26 @@ def approximation_error(source, oracle) -> list[float] | float:
     between the table and the oracle layer, over rows that were pushed at
     least once (a never-written table reports 0). With an array source (a
     memory-filled run's output matrix): the scalar mean row distance.
+
+    Each compared pair must have one 2-D shape (a table layer that of its
+    oracle layer), or ValueError names both. Each distance is one
+    `_mean_row_distance` pass: row slices through one reused float64 block
+    buffer, bit for bit the whole-array norm formula.
     """
     if isinstance(source, HistoryTable):
         out = []
         for li in range(source.num_layers):
-            warm = np.flatnonzero(source.last_update[:, li] != NEVER)
-            out.append(_mean_row_distance(source.layers[li], oracle[li], warm)
-                       if len(warm) else 0.0)
+            stored, fresh = source.layers[li], np.asarray(oracle[li])
+            _check_shapes(stored, fresh, f"table layer {li + 1}")
+            warm = source.last_update[:, li] != NEVER
+            out.append(_mean_row_distance(stored, fresh, None if warm.all() else warm)
+                       if warm.any() else 0.0)
         return out
-    diff = np.asarray(source, dtype=np.float64) - np.asarray(oracle, dtype=np.float64)
-    if diff.shape[0] == 0:
+    source, oracle = np.asarray(source), np.asarray(oracle)
+    _check_shapes(source, oracle, "the source")
+    if source.shape[0] == 0:
         return 0.0
-    return float(np.linalg.norm(diff, axis=1).mean())
+    return _mean_row_distance(source, oracle)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,11 @@ import json
 import pytest
 
 from staleburner import cli
-from staleburner.cli import main, parse_config, train_config_from, ConfigError
+from staleburner.cli import (ConfigError, load_data_source, main, parse_config,
+                             train_config_from)
 from staleburner.graph import load_dataset
+from staleburner.partition import partition_graph
+from staleburner.rng import derive_seed
 from staleburner.trainer import TrainConfig
 
 
@@ -50,6 +53,11 @@ def test_partition_emits_csv_and_summary(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 40
     assert lines[0].split(",")[0] == "0"
+    # the bytes: one "node,cluster" line per node, in node order
+    ds = load_data_source("sbm:blocks=2,nodes_per_block=20,p_in=0.5,p_out=0.02", 0)
+    part = partition_graph(ds.graph, 2, derive_seed(0, "partition"))
+    want = "".join(f"{v},{int(part.cluster_of[v])}\n" for v in range(40))
+    assert out.read_bytes() == want.encode()
 
 
 def test_train_writes_metrics(tmp_path, capsys):

@@ -181,6 +181,24 @@ def test_save_dataset_edges_match_loop_writer(tmp_path, graph):
     assert np.array_equal(back.graph.col_idx, g.col_idx)
 
 
+def test_save_dataset_labels_and_masks_bytes(tmp_path):
+    ds = sbm_generate(3, 15, 0.5, 0.05, d_in=4, seed=21)
+    save_dataset(ds, str(tmp_path / "d"))
+    labels = ""
+    masks = ""
+    for v in range(ds.graph.num_nodes):
+        labels += str(int(ds.labels[v])) + "\n"
+        if ds.train_mask[v]:
+            masks += "train\n"
+        elif ds.val_mask[v]:
+            masks += "val\n"
+        else:
+            masks += "test\n"
+    assert {"train\n", "val\n", "test\n"} <= set(masks.splitlines(keepends=True))
+    assert (tmp_path / "d" / "labels.csv").read_bytes() == labels.encode()
+    assert (tmp_path / "d" / "masks.csv").read_bytes() == masks.encode()
+
+
 def test_save_dataset_refuses_node_in_no_mask(tmp_path):
     ds = sbm_generate(3, 15, 0.5, 0.05, d_in=4, seed=21)
     first, second = np.flatnonzero(ds.test_mask)[:2]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,25 +81,86 @@ def test_approximation_error_fresh_table_is_zero():
     assert errs[0] <= 1e-6  # float32 storage rounding only
 
 
+def whole_array_distance(a, b):
+    """The one-pass formula the blocked pass must reproduce bit for bit."""
+    return float(np.linalg.norm(a.astype(np.float64) - b, axis=1).mean())
+
+
 def test_approximation_error_blocks_match_one_pass(monkeypatch):
     ds = sbm_generate(3, 10, 0.4, 0.05, seed=13)
     adj = normalize_adjacency(ds.graph)
     dims = [ds.num_features, 6, 5, ds.num_classes]
     hs, _ = full_forward(adj, ds.features, init_params(dims, seed=14))
     stale, _ = full_forward(adj, ds.features, init_params(dims, seed=15))
-    table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
-    warm = np.flatnonzero(np.arange(30) % 3 != 1)  # 20 of 30 rows, gaps between
-    table.push(1, warm, stale[0][warm], step=0)
-    table.push(2, warm[:4], stale[1][warm[:4]], step=0)
-    # the whole-table formula the blocked pass replaces
-    want = []
-    for li in range(2):
-        rows = table.last_update[:, li] != -1
-        diff = table.layers[li][rows].astype(np.float64) - hs[li][rows]
-        want.append(float(np.linalg.norm(diff, axis=1).mean()))
-    monkeypatch.setattr(metrics, "APX_BLOCK_ROWS", 3)
-    assert approximation_error(table, hs) == want
-    assert all(e > 0.0 for e in want)
+    every = np.arange(ds.graph.num_nodes)
+    warm = np.flatnonzero(every % 3 != 1)  # 20 of 30 rows, gaps between
+    # one row per block, 3 rows of the 6-wide layer, every row in one block
+    for block_bytes in (1, 3 * 8 * 6, 1 << 30):
+        monkeypatch.setattr(metrics, "APX_BLOCK_BYTES", block_bytes)
+        # partly warm: gaps in layer 1, four rows of layer 2
+        table = HistoryTable(ds.graph.num_nodes, dims[1:-1])
+        table.push(1, warm, stale[0][warm], step=0)
+        table.push(2, warm[:4], stale[1][warm[:4]], step=0)
+        want = []
+        for li in range(2):
+            rows = table.last_update[:, li] != -1
+            want.append(whole_array_distance(table.layers[li][rows], hs[li][rows]))
+        assert approximation_error(table, hs) == want
+        assert all(e > 0.0 for e in want)
+        # every row warm: the blocks are row slices of the table
+        for li in range(2):
+            table.push(li + 1, every, stale[li], step=1)
+        want = [whole_array_distance(table.layers[li], hs[li]) for li in range(2)]
+        assert approximation_error(table, hs) == want
+        # the array path: a run's logits against the oracle's
+        assert (approximation_error(stale[-1], hs[-1])
+                == whole_array_distance(stale[-1], hs[-1]))
+
+
+def test_approximation_error_allocates_norms_and_one_block():
+    """Each distance allocates the n-float norms vector and one block
+    buffer; the table path also builds its n-bool warm mask."""
+    n = 20000
+    rng = np.random.default_rng(0)
+    table = HistoryTable(n, [64])
+    table.push(1, np.arange(n), rng.standard_normal((n, 64)), step=0)
+    hs = [rng.standard_normal((n, 64)), rng.standard_normal((n, 20))]
+    run_logits = rng.standard_normal((n, 20))
+    slack = 4096
+    tracemalloc.start()
+    try:
+        for call, bound in ((lambda: approximation_error(table, hs), 9 * n),
+                            (lambda: approximation_error(run_logits, hs[1]), 8 * n)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= bound + metrics.APX_BLOCK_BYTES + slack
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("source,oracle", [
+    (np.zeros((1, 3)), np.ones((5, 3))),
+    (np.zeros((5, 1)), np.ones((5, 3))),
+    (np.zeros(5), np.ones(5)),
+], ids=["rows", "columns", "one-dimensional"])
+def test_approximation_error_refuses_mismatched_arrays(source, oracle):
+    with pytest.raises(ValueError) as err:
+        approximation_error(source, oracle)
+    assert str(source.shape) in str(err.value)
+    assert str(oracle.shape) in str(err.value)
+
+
+@pytest.mark.parametrize("oracle_shape", [(4, 3), (6, 3), (5, 2)],
+                         ids=["fewer-rows", "more-rows", "columns"])
+def test_approximation_error_refuses_mismatched_table(oracle_shape):
+    table = HistoryTable(5, [3])
+    table.push(1, np.arange(5), np.ones((5, 3)), step=0)
+    with pytest.raises(ValueError) as err:
+        approximation_error(table, [np.zeros(oracle_shape), np.zeros((5, 2))])
+    assert "(5, 3)" in str(err.value)
+    assert str(oracle_shape) in str(err.value)
 
 
 def test_approximation_error_grows_after_update():
