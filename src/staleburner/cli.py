@@ -4,10 +4,13 @@ Config files are flat key=value text (one pair per line, '#' comments).
 Recognized keys:
 
     dataset        dir:<path> | sbm:blocks=..,nodes_per_block=..,p_in=..,
-                   p_out=..[,d_in=..][,seed=..]   (required for train)
+                   p_out=..[,d_in=..][,seed=..]   (required for train; an sbm
+                   field given twice or left unreadable is refused)
     parts          cluster count for the partitioner (default 1)
-    mode           full | gas | rest | rest_is
-    F              refresh batches per gradient step (rest only; rest_is
+    mode           full | gas | rest | rest_is, one entry each of the
+                   trainer's REFRESH table
+    F              refresh batches per gradient step. Every memory mode
+                   schedules them, only rest refreshes them (rest_is
                    refreshes each gradient batch's halo in one forward)
     c              clusters per batch
     epochs, seed
@@ -93,9 +96,12 @@ def parse_config(path: str) -> dict:
 
 
 def _parse_sbm_params(text: str, default_seed: int) -> dict:
+    """sbm_generate's keyword arguments from 'k=v,...'. An unknown field, a
+    field given twice or a value its type cannot read raises ConfigError
+    naming the field."""
     fields = {"blocks": int, "nodes_per_block": int, "p_in": float,
               "p_out": float, "d_in": int, "seed": int}
-    out = {"d_in": 0, "seed": default_seed}
+    out = {}
     for item in text.split(","):
         if not item:
             continue
@@ -104,11 +110,16 @@ def _parse_sbm_params(text: str, default_seed: int) -> dict:
         key, value = item.split("=", 1)
         if key not in fields:
             raise ConfigError(f"unknown sbm field {key!r}")
-        out[key] = fields[key](value)
+        if key in out:
+            raise ConfigError(f"sbm field {key!r} is given twice")
+        try:
+            out[key] = fields[key](value)
+        except ValueError:
+            raise ConfigError(f"bad value {value!r} for sbm field {key}") from None
     for req in ("blocks", "nodes_per_block", "p_in", "p_out"):
         if req not in out:
             raise ConfigError(f"sbm parameters missing {req}")
-    return out
+    return {"d_in": 0, "seed": default_seed, **out}
 
 
 def load_data_source(source: str, run_seed: int) -> Dataset:

@@ -1,24 +1,26 @@
 """Training regimes over the history table.
 
-Modes:
-  full       one whole-graph gradient step per epoch, no memory table
+Modes, each one entry of REFRESH, the table naming the batches a step
+refreshes:
+  full       one whole-graph gradient step per epoch; its table is never
+             written, so every hidden row reads as cold
   gas        mini-batch steps where out-of-batch neighbor rows come from the
              memory table; each step pushes its fresh in-batch rows
   rest       gas plus F gradient-free forward passes per step that refresh
              additional table rows before the gradient batch reads them
   rest_is    gas plus one gradient-free forward per step over the gradient
              batch's own halo, so the rows about to be read are refreshed
-             first (F is not read)
+             first (its scheduled batches are not read)
 
-Before its first step a run builds one plan, a list of (refresh batches,
-gradient batch) pairs that every epoch walks: one pair per scheduled step in
-the memory modes, the whole graph alone in full mode. Every mode runs the
-same step: a refresh pass over the pair's refresh batches (none for full and
-gas; rest_is builds its halo batch at the step), then one gradient step that
-pushes its in-batch rows unless the mode is full. Reference semantics are
-strictly sequential: refresh batches in listed order, then the gradient
-batch. All modes collapse to identical full-batch steps when the partition
-has a single cluster.
+Before its first step a run builds one plan, a list of (scheduled refresh
+batches, gradient batch) pairs that every epoch walks: one pair per step of
+the schedule, which every memory mode draws with the config's F, or the whole
+graph alone in full mode. Every mode runs the same step: a refresh pass over
+the batches its REFRESH entry names, then one gradient step that pushes its
+in-batch rows unless the mode is full. Reference semantics are strictly
+sequential: refresh batches in listed order, then the gradient batch. All
+modes collapse to identical full-batch steps when the partition has a single
+cluster.
 
 Every step ends with a whole-graph evaluate. That one forward serves until
 the next gradient step moves the parameters: it is the oracle of the probe
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dataset, NormAdj, normalize_adjacency
-from .history import HistoryTable, LayerPersistence, persistence_stats
+from .history import HistoryTable, persistence_stats
 from .metrics import MetricsRecord, approximation_error
 from .model import (Adam, GcnParams, LayerCache, backward,
                     full_forward, init_params, layer_apply, loss_and_grad)
@@ -51,7 +53,15 @@ from .partition import (MiniBatch, Partition, make_batch,
                         make_batch_from_nodes, schedule_epoch)
 from .rng import derive_seed
 
-MODES = ("full", "gas", "rest", "rest_is")
+# per mode, the batches a step refreshes, given its scheduled refresh batches,
+# its gradient batch and Â. rest_is's entry looks its selector up by name at
+# each call, so a wrapper set on the module attribute still sees every call
+REFRESH: dict[str, Callable[[list[MiniBatch], MiniBatch, NormAdj], list[MiniBatch]]] = {
+    "full": lambda planned, grad, g_norm: [],
+    "gas": lambda planned, grad, g_norm: [],
+    "rest": lambda planned, grad, g_norm: planned,
+    "rest_is": lambda planned, grad, g_norm: rest_is_refresh_selection(grad, g_norm),
+}
 
 
 @dataclass
@@ -70,7 +80,7 @@ class TrainConfig:
     timing: bool = False             # wall_ms stays 0.0 unless enabled
 
     def validate(self) -> None:
-        if self.mode not in MODES:
+        if self.mode not in REFRESH:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.refresh_per_step < 0:
             raise ValueError("refresh_per_step must be >= 0")
@@ -224,15 +234,15 @@ def table_logits(batches: list[MiniBatch], ax: np.ndarray, params: GcnParams,
     return logits
 
 
-def _probe_apx_errors(state: TrainState, grad_batches: list[MiniBatch], mode: str,
+def _probe_apx_errors(state: TrainState, grad_batches: list[MiniBatch], memory: bool,
                       oracle: Callable[[], LayerCache],
                       ax: np.ndarray) -> tuple[float, ...]:
     """Per-layer mean distance between memory/run embeddings and a fresh
     whole-graph forward (`oracle()`, at the current parameters): stored layers
     come straight from the table, the final layer from re-running every
-    gradient batch against the current table. Full mode reads no table, so
-    its errors are zero without a forward."""
-    if mode == "full":
+    gradient batch against the current table. Full mode (memory False) never
+    reads its table, so its errors are zero without a forward."""
+    if not memory:
         return tuple(0.0 for _ in range(state.params.num_layers))
     oracle_hs = oracle().hs
     table_errs = approximation_error(state.history, oracle_hs)
@@ -294,18 +304,18 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     cfg.validate()
     ds.validate()
     memory = cfg.mode != "full"
-    # only rest refreshes scheduled clusters (gas runs none whatever F its
-    # config carries, rest_is refreshes each gradient batch's halo). Planned
-    # first, so a batch size the partition cannot fill fails before any work
-    steps = schedule_epoch(part, cfg.clusters_per_batch,
-                           cfg.refresh_per_step if cfg.mode == "rest" else 0,
+    # planned first, so a batch size the partition cannot fill fails before
+    # any work. Every F draws the same gradient order, and refresh slots reuse
+    # its chunks, so modes that refresh none of them build no extra batch
+    steps = schedule_epoch(part, cfg.clusters_per_batch, cfg.refresh_per_step,
                            derive_seed(cfg.seed, "schedule")) if memory else []
     g_norm = normalize_adjacency(ds.graph)
     n = ds.graph.num_nodes
     # the plan every epoch walks. Each distinct cluster set is built once; one
     # covering every cluster is the whole graph on g_norm, so single-cluster
-    # runs match full mode bit for bit. rest_is's steps build their halo batch:
-    # holding them all lifted sweep-2k's peak RSS 59 -> 63 MiB, past the 5% bound
+    # runs match full mode bit for bit. rest_is builds its halo batches at the
+    # step, through REFRESH: holding them all lifted sweep-2k's peak RSS
+    # 59 -> 63 MiB, past the 5% bound
     whole = MiniBatch(in_batch=np.arange(n, dtype=np.int64),
                       halo=np.empty(0, dtype=np.int64), local_adj=g_norm)
     built = {ids: whole if len(ids) == part.num_parts else make_batch(g_norm, part, list(ids))
@@ -315,14 +325,14 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     dims = ([ds.num_features]
             + [cfg.hidden] * (cfg.num_layers - 1)
             + [ds.num_classes])
-    # full mode reads no table: it keeps an empty one and reports what a
-    # never-written table would, every hidden row cold
+    # full mode never writes its table, so every hidden row reads as cold.
+    # Its zero-filled layers stay untouched pages; only last_update, 8 B per
+    # node and hidden layer, is written, at creation
     state = TrainState(
         params=init_params(dims, derive_seed(cfg.seed, "init")),
         adam=Adam(lr=cfg.lr, weight_decay=cfg.weight_decay),
-        history=HistoryTable(n, dims[1:-1] if memory else []),
+        history=HistoryTable(n, dims[1:-1]),
     )
-    cold_stats = [LayerPersistence(mean=0.0, max=0, cold=n)] * (cfg.num_layers - 1)
     # Â·X is parameter-free, so every batch forward gathers layer 1's rows
     # and every whole-graph forward takes it whole instead of aggregating
     ax = g_norm.matmul(ds.features)
@@ -346,32 +356,27 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
 
     if cfg.warmup_refresh and memory:
         # gradient-free whole-graph refresh so no pull ever reads the zero init
-        batch_forward_with_history(whole, ax, state.params, state.history,
-                                   push=True, step=0, refresh=True)
+        rest_refresh_pass([whole], state, ax)
 
     records: list[MetricsRecord] = []
     grad_batches = [grad for _, grad in plan]
     for epoch in range(cfg.epochs):
         for refresh, grad_batch in plan:
-            pstats = (persistence_stats(state.history, state.model_step) if memory
-                      else cold_stats)
+            pstats = persistence_stats(state.history, state.model_step)
             if cfg.probe_every > 0 and state.model_step % cfg.probe_every == 0:
-                apx = _probe_apx_errors(state, grad_batches, cfg.mode, whole_forward, ax)
+                apx = _probe_apx_errors(state, grad_batches, memory, whole_forward, ax)
             else:
                 apx = tuple([float("nan")] * cfg.num_layers)
             # wall_ms times the step's own work, not the probe
             t0 = time.perf_counter()
-            if cfg.mode == "rest_is":
-                refresh = rest_is_refresh_selection(grad_batch, g_norm)
             try:
-                rest_refresh_pass(refresh, state, ax)
+                rest_refresh_pass(REFRESH[cfg.mode](refresh, grad_batch, g_norm), state, ax)
                 loss = train_step_gas(grad_batch, state, ds, ax,
                                       forward=None if memory else whole_forward())
             except FloatingPointError:
                 if dump_prefix is not None:
                     save_checkpoint(state.params, dump_prefix + "_diverged.ckpt")
-                    table = state.history if memory else HistoryTable(n, dims[1:-1])
-                    table.dump(dump_prefix + "_history")
+                    state.history.dump(dump_prefix + "_history")
                 raise
             stale = True  # the parameters moved
             wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0

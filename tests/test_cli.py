@@ -152,6 +152,16 @@ def test_parse_config_refuses_a_key_set_twice(tmp_path):
         parse_config(str(path))
 
 
+def test_sbm_source_refuses_a_field_set_twice():
+    with pytest.raises(ConfigError, match="sbm field 'blocks' is given twice"):
+        load_data_source("sbm:blocks=2,nodes_per_block=5,p_in=0.5,p_out=0.1,blocks=3", 0)
+
+
+def test_sbm_source_names_a_field_with_a_bad_value():
+    with pytest.raises(ConfigError, match="bad value 'abc' for sbm field blocks"):
+        load_data_source("sbm:blocks=abc,nodes_per_block=5,p_in=0.5,p_out=0.1", 0)
+
+
 def test_config_keys_land_on_train_config_fields(tmp_path, monkeypatch):
     monkeypatch.delenv("STALEBURNER_SEED", raising=False)
     # a key left out keeps the TrainConfig default

@@ -446,13 +446,18 @@ def test_run_training_plans_schedule_once(monkeypatch):
     assert len(calls) == 1  # every epoch repeats the one plan
 
 
-def test_run_training_builds_each_cluster_set_once(monkeypatch):
+@pytest.mark.parametrize("mode", ["gas", "rest", "rest_is"])
+def test_run_training_builds_each_cluster_set_once(monkeypatch, mode):
+    """Every memory mode plans with the config's F, and the refresh slots
+    reuse the gradient chunks, so no mode builds a batch beyond its
+    gradient batches."""
     ds = small_dataset(seed=24)
     part = partition_graph(ds.graph, 4, seed=6)
-    cfg = TrainConfig(mode="rest", refresh_per_step=2, epochs=3, hidden=4, seed=1,
+    cfg = TrainConfig(mode=mode, refresh_per_step=2, epochs=3, hidden=4, seed=1,
                       probe_every=1)
     steps = trainer.schedule_epoch(part, 1, 2, derive_seed(1, "schedule"))
     sets = {frozenset(ids) for st in steps for ids in (st.grad, *st.refresh)}
+    assert sets == {frozenset(st.grad) for st in steps}
     built = []
     real = trainer.make_batch
     monkeypatch.setattr(trainer, "make_batch",
@@ -600,16 +605,51 @@ def test_probe_reuses_evaluate_forward(monkeypatch):
     assert all(not np.isnan(r.apx_err).any() for r in records)
 
 
-def test_full_mode_has_no_staleness():
+@pytest.mark.parametrize("layers", [2, 3])
+def test_full_mode_has_no_staleness(layers):
+    """Full mode keeps a table of every hidden layer and never writes a row
+    of it, so its records report every hidden row cold."""
     ds = small_dataset(seed=19)
     part = partition_graph(ds.graph, 4, seed=2)
-    cfg = TrainConfig(mode="full", epochs=3, hidden=4, seed=1, probe_every=1)
-    records, _ = run_training(cfg, ds, part)
-    assert len(records) == 3
+    n = ds.graph.num_nodes
+    cfg = TrainConfig(mode="full", epochs=3, hidden=4, seed=1, probe_every=1,
+                      num_layers=layers)
+    checked = []
+
+    def never_written(state):
+        assert state.history.last_update.shape == (n, layers - 1)
+        assert np.all(state.history.last_update == NEVER)
+        checked.append(state.model_step)
+
+    records, _ = run_training(cfg, ds, part, on_step=never_written)
+    assert checked == [1, 2, 3] == [r.step for r in records]
     for r in records:
-        assert r.persist_mean == (0.0,)
-        assert r.persist_max == (0,)
-        assert r.apx_err == (0.0, 0.0)
+        assert r.persist_mean == (0.0,) * (layers - 1)
+        assert r.persist_max == (0,) * (layers - 1)
+        assert r.cold_rows == n * (layers - 1)
+        assert r.apx_err == (0.0,) * layers
+
+
+@pytest.mark.parametrize("layers", [2, 3])
+def test_a_new_mode_needs_only_a_refresh_entry(monkeypatch, layers):
+    """A mode is one REFRESH entry. Refreshing the gradient batch's own rows
+    changes nothing its step reads, since the gradient forward recomputes
+    them from the same halo rows, so this arm trains exactly as gas."""
+    refreshed = []
+    monkeypatch.setitem(trainer.REFRESH, "self",
+                        lambda planned, grad, g_norm: refreshed.append(grad) or [grad])
+    ds = small_dataset(seed=24)
+    part = partition_graph(ds.graph, 4, seed=6)
+    runs = {}
+    for mode in ("gas", "self"):
+        cfg = TrainConfig(mode=mode, epochs=2, hidden=4, seed=1, num_layers=layers,
+                          probe_every=1)
+        cfg.validate()
+        runs[mode] = run_training(cfg, ds, part)
+    (rec_gas, par_gas), (rec_self, par_self) = runs["gas"], runs["self"]
+    assert len(refreshed) == len(rec_self) == 8
+    assert rec_self == rec_gas
+    assert par_self.flat().tobytes() == par_gas.flat().tobytes()
 
 
 def test_degenerate_single_cluster_modes_agree_bitwise():
