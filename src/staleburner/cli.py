@@ -24,6 +24,14 @@ Refresh batches run one after another, and every epoch repeats one
 round-robin plan. Unknown keys are rejected, the deleted beta1, beta2 and
 adam_eps among them; a key left out keeps its TrainConfig default. The
 STALEBURNER_SEED environment variable, when set, overrides the config seed.
+
+`train` writes one metrics.csv row per step after its header, the header
+alone for a run of no step. With --checkpoint m.ckpt it saves the
+parameters to m.ckpt after every epoch, and a run that diverges leaves
+m_diverged.ckpt and one m_history_l<k>.bin per stored layer. `eval` prints
+the whole-graph accuracies of a checkpoint on a dataset. `bound-check`
+refuses a depth or a seed count below 1. `generate` and the sbm source
+refuse a d_in below 0; d_in 0 gives one feature column per block.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .boundcheck import run_bound_check
 from .graph import (Dataset, DatasetError, load_dataset, normalize_adjacency,
                     sbm_generate, save_dataset)
 from .metrics import csv_header, export_metrics, format_record
+from .model import full_forward
 from .partition import Partition, partition_graph
 from .rng import derive_seed
 from .trainer import TrainConfig, evaluate, load_checkpoint, run_training
@@ -176,14 +185,8 @@ def _cmd_train(args) -> int:
     cfg = parse_config(args.config)
     train_cfg = train_config_from(cfg)
     ds, part = _setup(cfg, train_cfg.seed)
-    ckpt = args.checkpoint
-    records, _ = run_training(train_cfg, ds, part, checkpoint_path=ckpt,
-                              dump_prefix=os.path.splitext(ckpt)[0] if ckpt else None)
-    if records:
-        export_metrics(records, args.out)
-    else:
-        with open(args.out, "w") as f:
-            f.write(csv_header(train_cfg.num_layers - 1, train_cfg.num_layers) + "\n")
+    records, _ = run_training(train_cfg, ds, part, checkpoint_path=args.checkpoint)
+    export_metrics(records, train_cfg.num_layers, args.out)
     print(f"wrote {args.out}: {len(records)} steps")
     return 0
 
@@ -197,7 +200,9 @@ def _cmd_eval(args) -> int:
     if params.dims[-1] != ds.num_classes:
         raise ConfigError(
             f"checkpoint outputs {params.dims[-1]} classes, dataset has {ds.num_classes}")
-    acc_tr, acc_val, acc_te = evaluate(normalize_adjacency(ds.graph), ds, params)
+    g_norm = normalize_adjacency(ds.graph)
+    acc_tr, acc_val, acc_te = evaluate(
+        ds, lambda: full_forward(g_norm, ds.features, params, keep_z=False)[1])
     print(f"acc_train={acc_tr:.9g} acc_val={acc_val:.9g} acc_test={acc_te:.9g}")
     return 0
 
@@ -217,8 +222,7 @@ def _cmd_ablate_f(args) -> int:
     train_cfgs = [train_config_from({**cfg, "mode": "rest", "F": f_val})
                   for f_val in f_values]
     ds, part = _setup(cfg, train_cfgs[0].seed)
-    L = train_cfgs[0].num_layers
-    lines = ["f," + csv_header(L - 1, L)]
+    lines = ["f," + csv_header(train_cfgs[0].num_layers)]
     for f_val, train_cfg in zip(f_values, train_cfgs):
         records, _ = run_training(train_cfg, ds, part)
         lines += [f"{f_val},{format_record(r)}" for r in records]

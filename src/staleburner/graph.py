@@ -399,8 +399,9 @@ def sbm_generate(blocks: int, nodes_per_block: int, p_in: float, p_out: float,
     Nodes of block b occupy the contiguous id range [b*npb, (b+1)*npb). Each
     intra-block pair is an edge with probability p_in, cross-block with p_out;
     sparse regimes are sampled with geometric skipping so cost is O(edges).
-    Features are one-hot block indicators plus N(0, 0.5^2) noise; masks split
-    60/20/20 per class. Bitwise-deterministic in (arguments, seed).
+    Features are one-hot block indicators plus N(0, 0.5^2) noise, in d_in
+    columns (0: one per block; a negative d_in raises ValueError); masks
+    split 60/20/20 per class. Bitwise-deterministic in (arguments, seed).
     """
     if blocks < 1:
         raise ValueError("blocks must be >= 1")
@@ -408,7 +409,9 @@ def sbm_generate(blocks: int, nodes_per_block: int, p_in: float, p_out: float,
         raise ValueError("nodes_per_block must be >= 1")
     if not (0.0 <= p_out < p_in <= 1.0):
         raise ValueError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in} p_out={p_out}")
-    if d_in <= 0:
+    if d_in < 0:
+        raise ValueError(f"d_in must be >= 0, got {d_in}")
+    if d_in == 0:
         d_in = blocks
     n = blocks * nodes_per_block
     npb = nodes_per_block

@@ -21,7 +21,6 @@ class HistoryTable:
     layers, i.e. layer l holds the post-activation outputs of layer l."""
 
     def __init__(self, num_nodes: int, dims: list[int]):
-        self.num_nodes = num_nodes
         self.dims = list(dims)
         self.layers = [np.zeros((num_nodes, d), dtype=np.float32) for d in dims]
         self.last_update = np.full((num_nodes, len(dims)), NEVER, dtype=np.int64)

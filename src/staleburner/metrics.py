@@ -13,11 +13,12 @@ either |N(v)| * |row_v(adj)| (per-node form) or the operator 2-norm of the
 propagation matrix (matrix form, Frobenius layer errors). Layer 0 inputs are
 raw features, so E_0 = 0 by construction.
 
-eps = 1.0 for mean softmax cross-entropy: the softmax Jacobian is symmetric
-with eigenvalues p_i(1 - p_i) and pair terms bounded by its diagonal, so its
-2-norm is at most 1; averaging over the mask divides by the mask size, which
-only shrinks the constant. Norm envelopes come from power iteration inflated
-by (1 + tol), so undershoot cannot break dominance.
+eps (the module constant EPS) is 1.0 for mean softmax cross-entropy: the
+softmax Jacobian is symmetric with eigenvalues p_i(1 - p_i) and pair terms
+bounded by its diagonal, so its 2-norm is at most 1; averaging over the mask
+divides by the mask size, which only shrinks the constant. Norm envelopes
+come from power iteration inflated by (1 + tol), spectral_norm_upper's
+default tol, so undershoot cannot break dominance.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ import numpy as np
 from .graph import NormAdj, spectral_norm_upper
 from .history import NEVER, HistoryTable
 from .model import GcnParams
+
+# the loss gradient's Lipschitz constant in the logits (module docstring)
+EPS = 1.0
 
 
 @dataclass(frozen=True)
@@ -46,10 +50,12 @@ class MetricsRecord:
     wall_ms: float
 
 
-def csv_header(num_hidden_layers: int, num_layers: int) -> str:
+def csv_header(num_layers: int) -> str:
+    """The metrics CSV header of a num_layers-deep model: persistence columns
+    for its num_layers - 1 stored layers, error columns for every layer."""
     cols = ["step", "epoch", "loss", "acc_train", "acc_val", "acc_test"]
-    cols += [f"persist_mean_l{i}" for i in range(1, num_hidden_layers + 1)]
-    cols += [f"persist_max_l{i}" for i in range(1, num_hidden_layers + 1)]
+    cols += [f"persist_mean_l{i}" for i in range(1, num_layers)]
+    cols += [f"persist_max_l{i}" for i in range(1, num_layers)]
     cols.append("cold_rows")
     cols += [f"apxerr_l{i}" for i in range(1, num_layers + 1)]
     cols.append("wall_ms")
@@ -68,13 +74,11 @@ def format_record(r: MetricsRecord) -> str:
     return ",".join(fields)
 
 
-def export_metrics(series: list[MetricsRecord], path: str) -> None:
-    if not series:
-        raise ValueError("empty metrics series")
-    num_hidden = len(series[0].persist_mean)
-    num_layers = len(series[0].apx_err)
+def export_metrics(series: list[MetricsRecord], num_layers: int, path: str) -> None:
+    """Write the header of a num_layers-deep model, then one row per record;
+    an empty series writes the header only."""
     with open(path, "w") as f:
-        f.write(csv_header(num_hidden, num_layers) + "\n")
+        f.write(csv_header(num_layers) + "\n")
         for r in series:
             f.write(format_record(r) + "\n")
 
@@ -155,43 +159,41 @@ def approximation_error(source, oracle) -> list[float] | float:
 
 @dataclass(frozen=True)
 class BoundConstants:
-    alpha: tuple[float, ...]      # per-layer full-map Lipschitz envelope
+    """The norm envelopes the bound multiplies. Layer l's full map (ReLU,
+    weights, propagation) has Lipschitz envelope beta[l-1] * adj_norm, the
+    product gradient_error_bound forms."""
     beta: tuple[float, ...]       # per-layer weight-matrix norm envelope
-    eps: float
     adj_norm: float               # operator 2-norm envelope of the propagation
     row_norms: np.ndarray         # per-node row 2-norms of the propagation
     degrees: np.ndarray           # per-node aggregation fan-in (self included)
 
     def validate(self) -> None:
-        vals = list(self.alpha) + list(self.beta) + [self.eps, self.adj_norm]
+        vals = list(self.beta) + [self.adj_norm]
         if not all(np.isfinite(v) and v > 0 for v in vals):
             raise ValueError("bound constants must be positive and finite")
 
 
-def bound_constants(params: GcnParams, adj: NormAdj, tol: float = 1e-3
-                    ) -> BoundConstants:
-    adj_norm, _ = spectral_norm_upper(adj, tol=tol)
-    betas = []
-    for w in params.weights:
-        s, _ = spectral_norm_upper(w, tol=tol)
-        betas.append(s)
-    alphas = [b * adj_norm for b in betas]  # ReLU is 1-Lipschitz
-    return BoundConstants(alpha=tuple(alphas), beta=tuple(betas), eps=1.0,
-                          adj_norm=adj_norm, row_norms=adj.row_norms(),
+def bound_constants(params: GcnParams, adj: NormAdj) -> BoundConstants:
+    adj_norm, _ = spectral_norm_upper(adj)
+    betas = tuple(spectral_norm_upper(w)[0] for w in params.weights)
+    return BoundConstants(beta=betas, adj_norm=adj_norm, row_norms=adj.row_norms(),
                           degrees=np.diff(adj.row_ptr).astype(np.float64))
 
 
 def gradient_error_bound(consts: BoundConstants, layer_errors: list[float],
                          node: int | np.ndarray | None = None
                          ) -> float | np.ndarray:
-    """Evaluate the gradient-error bound.
+    """Evaluate the gradient-error bound, EPS times the telescoped sum.
 
     layer_errors[l] is the error of layer-l rows (l = 0 is the input layer
     and is 0 whenever raw features feed the first layer). node selects the
     per-node form: a node id gives that node's bound, an array of ids one
-    bound per id. None uses the matrix form with the operator norm.
+    bound per id. None uses the matrix form with the operator norm; divided
+    by EPS, that form bounds the final-layer output gap itself. Layer k's
+    tail factor is its full-map envelope beta[k-1] * adj_norm (ReLU is
+    1-Lipschitz).
     """
-    L = len(consts.alpha)
+    L = len(consts.beta)
     if len(layer_errors) != L:
         raise ValueError(f"need {L} layer errors, got {len(layer_errors)}")
     if node is None:
@@ -202,13 +204,6 @@ def gradient_error_bound(consts: BoundConstants, layer_errors: list[float],
     for l in range(1, L + 1):
         tail = 1.0
         for k in range(l + 1, L + 1):
-            tail *= consts.alpha[k - 1]
+            tail *= consts.beta[k - 1] * consts.adj_norm
         total += tail * consts.beta[l - 1] * factor * layer_errors[l - 1]
-    return consts.eps * total
-
-
-def telescoped_output_bound(consts: BoundConstants, layer_errors: list[float]
-                            ) -> float:
-    """Bound on the final-layer output gap itself (the pre-loss version of
-    the same telescoping)."""
-    return gradient_error_bound(consts, layer_errors, node=None) / consts.eps
+    return EPS * total

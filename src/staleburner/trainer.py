@@ -37,6 +37,7 @@ stay bit-identical.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import time
 from collections.abc import Callable
@@ -101,7 +102,12 @@ class TrainState:
     params: GcnParams
     adam: Adam
     history: HistoryTable
-    model_step: int = 0
+
+    @property
+    def model_step(self) -> int:
+        """Completed optimizer steps: Adam's count, which a step whose
+        gradient is not finite leaves unmoved."""
+        return self.adam.t
 
 
 def batch_forward_with_history(batch: MiniBatch, ax: np.ndarray,
@@ -171,7 +177,6 @@ def train_step_gas(batch: MiniBatch, state: TrainState, ds: Dataset,
     loss, dlogits = loss_and_grad(hs[-1], ds.labels[batch.in_batch], mask, out=hs[-1])
     grads, _ = backward(cache, dlogits, state.params)
     state.adam.step(state.params, grads)
-    state.model_step += 1
     return loss
 
 
@@ -199,19 +204,15 @@ def rest_is_refresh_selection(grad_batch: MiniBatch,
     return [make_batch_from_nodes(g_norm, grad_batch.halo)]
 
 
-def evaluate(g_norm: NormAdj, ds: Dataset, params: GcnParams,
-             forward: Callable[[], LayerCache] | None = None
+def evaluate(ds: Dataset, forward: Callable[[], LayerCache]
              ) -> tuple[float, float, float]:
-    """Whole-graph accuracies at current parameters; no staleness in the
-    reported numbers regardless of training mode. `forward` returns the
-    whole-graph forward at `params` when the caller keeps one to share.
-    One argmax over every row serves all three masks; each equals
-    `accuracy` on its mask."""
-    if forward is None:
-        hs, _ = full_forward(g_norm, ds.features, params, keep_z=False)
-    else:
-        hs = forward().hs
-    hit = hs[-1].argmax(axis=1) == ds.labels
+    """Train, validation and test accuracy of the whole-graph forward that
+    `forward()` returns, at the parameters being evaluated. It is called
+    here, so a tracer timing this function times the forward too. The
+    forward is fresh, so the numbers carry no staleness whatever the
+    training mode. One argmax over every row serves all three masks; each
+    equals `accuracy` on its mask."""
+    hit = forward().hs[-1].argmax(axis=1) == ds.labels
     accs = []
     for mask in (ds.train_mask, ds.val_mask, ds.test_mask):
         count = int(np.count_nonzero(mask))
@@ -294,13 +295,18 @@ def load_checkpoint(path: str) -> GcnParams:
 
 
 def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
-                 dump_prefix: str | None = None,
                  on_step=None,
                  checkpoint_path: str | None = None
                  ) -> tuple[list[MetricsRecord], GcnParams]:
     """Drive epochs over one plan of steps; returns the metrics series and
     final parameters. Deterministic for a fixed config (wall_ms stays 0.0
-    unless cfg.timing is set)."""
+    unless cfg.timing is set).
+
+    With checkpoint_path, the parameters are saved there after every epoch.
+    A step that raises FloatingPointError (a non-finite forward, gradient or
+    evaluate) first leaves, next to it under the path's stem (the path less
+    its extension), '<stem>_diverged.ckpt' with the parameters and one
+    '<stem>_history_l<k>.bin' per stored layer (HistoryTable.dump)."""
     cfg.validate()
     ds.validate()
     memory = cfg.mode != "full"
@@ -367,20 +373,21 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
                 apx = _probe_apx_errors(state, grad_batches, memory, whole_forward, ax)
             else:
                 apx = tuple([float("nan")] * cfg.num_layers)
-            # wall_ms times the step's own work, not the probe
+            # wall_ms times the step's own work, not the probe or evaluate
             t0 = time.perf_counter()
             try:
                 rest_refresh_pass(REFRESH[cfg.mode](refresh, grad_batch, g_norm), state, ax)
                 loss = train_step_gas(grad_batch, state, ds, ax,
                                       forward=None if memory else whole_forward())
+                stale = True  # the parameters moved
+                wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
+                acc_tr, acc_val, acc_te = evaluate(ds, whole_forward)
             except FloatingPointError:
-                if dump_prefix is not None:
-                    save_checkpoint(state.params, dump_prefix + "_diverged.ckpt")
-                    state.history.dump(dump_prefix + "_history")
+                if checkpoint_path is not None:
+                    stem = os.path.splitext(checkpoint_path)[0]
+                    save_checkpoint(state.params, stem + "_diverged.ckpt")
+                    state.history.dump(stem + "_history")
                 raise
-            stale = True  # the parameters moved
-            wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
-            acc_tr, acc_val, acc_te = evaluate(g_norm, ds, state.params, whole_forward)
             records.append(MetricsRecord(
                 step=state.model_step, epoch=epoch, loss=loss,
                 acc_train=acc_tr, acc_val=acc_val, acc_test=acc_te,

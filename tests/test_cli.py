@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from staleburner import cli
@@ -78,6 +79,33 @@ def test_train_zero_epochs_header_only(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("step,epoch,loss")
+
+
+@pytest.mark.parametrize("layers,header", [
+    (2, "step,epoch,loss,acc_train,acc_val,acc_test,persist_mean_l1,persist_max_l1,"
+        "cold_rows,apxerr_l1,apxerr_l2,wall_ms\n"),
+    (3, "step,epoch,loss,acc_train,acc_val,acc_test,persist_mean_l1,persist_mean_l2,"
+        "persist_max_l1,persist_max_l2,cold_rows,apxerr_l1,apxerr_l2,apxerr_l3,wall_ms\n"),
+])
+def test_train_zero_epochs_writes_header_bytes(tmp_path, capsys, layers, header):
+    cfg = write_config(tmp_path / "c.cfg", epochs=0, layers=layers)
+    out = tmp_path / "metrics.csv"
+    assert run_cli(capsys, "train", "--config", cfg, "--out", str(out))[0] == 0
+    assert out.read_bytes() == header.encode()
+
+
+def test_train_divergence_leaves_dump_next_to_checkpoint(tmp_path, capsys):
+    # the parameters blow up in the first step: evaluate's forward is the
+    # first to go non-finite, so the dump must cover it
+    cfg = write_config(tmp_path / "c.cfg", mode="gas", lr=1e300)
+    ckpt = tmp_path / "m.ckpt"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, stderr = run_cli(capsys, "train", "--config", cfg, "--out",
+                                  str(tmp_path / "m.csv"), "--checkpoint", str(ckpt))
+    assert code == 1
+    assert stderr.startswith("error: FloatingPointError:")
+    assert (tmp_path / "m_diverged.ckpt").exists()
+    assert (tmp_path / "m_history_l1.bin").exists()
 
 
 def test_train_is_bit_reproducible(tmp_path, capsys):
@@ -242,6 +270,38 @@ def test_bound_check_smoke(capsys):
     line = stdout.strip().splitlines()[-1]
     assert line.startswith("max_ratio=")
     assert float(line.split("=")[1]) <= 1.0
+
+
+def test_bound_check_depth_one_reads_zero(capsys):
+    code, stdout, stderr = run_cli(capsys, "bound-check", "--seeds", "2", "--n", "30",
+                                   "--layers", "1")
+    assert (code, stdout, stderr) == (0, "max_ratio=0\n", "")
+
+
+@pytest.mark.parametrize("flag,value,name", [("--layers", "0", "num_layers"),
+                                             ("--layers", "2,0", "num_layers"),
+                                             ("--seeds", "0", "seeds"),
+                                             ("--seeds", "-1", "seeds")])
+def test_bound_check_refuses_depth_or_seeds_below_one(capsys, flag, value, name):
+    code, stdout, stderr = run_cli(capsys, "bound-check", "--n", "30", flag, value)
+    assert code == 1 and stdout == ""
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ValueError:")
+    assert f"{name} must be >= 1, got {value.split(',')[-1]}" in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--out", "x", "--blocks", "3", "--nodes-per-block", "10",
+     "--p-in", "0.5", "--p-out", "0.05", "--d-in", "-3"],
+    ["partition", "--parts", "2", "--out", "x",
+     "--data", "sbm:blocks=3,nodes_per_block=10,p_in=0.5,p_out=0.05,d_in=-3"],
+])
+def test_negative_d_in_is_refused(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert stderr == "error: ValueError: d_in must be >= 0, got -3\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_ablate_f_merged_csv(tmp_path, capsys):

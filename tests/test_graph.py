@@ -129,6 +129,12 @@ def test_sbm_rejects_degenerate_probs():
         sbm_generate(0, 5, p_in=0.5, p_out=0.1, seed=0)
 
 
+def test_sbm_refuses_negative_d_in():
+    with pytest.raises(ValueError, match="d_in must be >= 0, got -3"):
+        sbm_generate(3, 10, 0.5, 0.05, d_in=-3)
+    assert sbm_generate(3, 10, 0.5, 0.05, d_in=0).num_features == 3
+
+
 def test_sbm_masks_stratified():
     ds = sbm_generate(4, 50, 0.3, 0.01, seed=5)
     for c in range(4):

@@ -38,10 +38,10 @@ def test_rhs_single_layer_fresh_inputs():
     consts = bound_constants(params, adj)
     assert gradient_error_bound(consts, [0.0]) == 0.0
     # and with a synthetic input error the per-node form carries exactly
-    # eps * beta * |N(v)| * |row_v| * err
+    # EPS * beta * |N(v)| * |row_v| * err
     err = 0.37
     v = 5
-    want = consts.eps * consts.beta[0] * consts.degrees[v] * consts.row_norms[v] * err
+    want = metrics.EPS * consts.beta[0] * consts.degrees[v] * consts.row_norms[v] * err
     assert gradient_error_bound(consts, [err], node=v) == pytest.approx(want, rel=1e-12)
 
 
@@ -60,10 +60,9 @@ def test_bound_constants_structure():
     params = init_params([ds.num_features, 5, ds.num_classes], seed=8)
     consts = bound_constants(params, adj)
     consts.validate()
-    assert len(consts.alpha) == len(consts.beta) == 2
-    for a, b in zip(consts.alpha, consts.beta):
-        assert a == pytest.approx(b * consts.adj_norm, rel=1e-12)
-    assert consts.eps == 1.0
+    assert len(consts.beta) == 2
+    assert all(b > 0 for b in consts.beta) and consts.adj_norm > 0
+    assert metrics.EPS == 1.0
     assert consts.degrees.min() >= 1.0
 
 
@@ -198,22 +197,47 @@ def test_bound_dominates_three_layers():
         assert res.node_ratio <= 1.0
 
 
+def test_bound_check_depth_one_reads_zero():
+    # one layer stores nothing: both sides are 0, which reads as ratio 0
+    res = bound_check_instance(seed=3, n=30, num_layers=1)
+    assert (res.matrix_ratio, res.node_ratio) == (0.0, 0.0)
+    assert res.output_gap == res.output_bound == 0.0
+    assert run_bound_check(seeds=2, n=30, layer_choices=(1,)) == 0.0
+
+
+def test_bound_check_refuses_depth_below_one():
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match=f"num_layers must be >= 1, got {depth}"):
+            bound_check_instance(seed=0, n=30, num_layers=depth)
+    with pytest.raises(ValueError, match="num_layers must be >= 1, got 0"):
+        run_bound_check(seeds=1, n=30, layer_choices=(2, 0))
+
+
+def test_run_bound_check_refuses_no_seeds():
+    with pytest.raises(ValueError, match="seeds must be >= 1, got 0"):
+        run_bound_check(seeds=0, n=30)
+
+
 def test_run_bound_check_aggregates():
     ratio = run_bound_check(seeds=3, n=30, layer_choices=(2,))
     assert 0.0 <= ratio <= 1.0
 
 
-def test_export_rejects_empty(tmp_path):
-    with pytest.raises(ValueError):
-        export_metrics([], str(tmp_path / "m.csv"))
+def test_export_empty_writes_header_only(tmp_path):
+    path = tmp_path / "m.csv"
+    export_metrics([], 3, str(path))
+    assert path.read_text() == csv_header(3) + "\n"
+    assert csv_header(3).split(",")[6:] == [
+        "persist_mean_l1", "persist_mean_l2", "persist_max_l1", "persist_max_l2",
+        "cold_rows", "apxerr_l1", "apxerr_l2", "apxerr_l3", "wall_ms"]
 
 
 def test_export_single_record(tmp_path):
     path = tmp_path / "m.csv"
-    export_metrics([make_record()], str(path))
+    export_metrics([make_record()], 2, str(path))
     lines = path.read_text().splitlines()
     assert len(lines) == 2
-    assert lines[0] == csv_header(1, 2)
+    assert lines[0] == csv_header(2)
     assert lines[0].split(",")[:6] == ["step", "epoch", "loss",
                                        "acc_train", "acc_val", "acc_test"]
 
@@ -221,7 +245,7 @@ def test_export_single_record(tmp_path):
 def test_export_round_trip_values(tmp_path):
     records = [make_record(step=i + 1) for i in range(3)]
     path = tmp_path / "m.csv"
-    export_metrics(records, str(path))
+    export_metrics(records, 2, str(path))
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     for rec, line in zip(records, lines[1:]):

@@ -192,7 +192,8 @@ def test_evaluate_equals_accuracy_per_mask(empty):
     hs, _ = full_forward(g_norm, ds.features, params)
     want = tuple(accuracy(hs[-1], ds.labels, m)
                  for m in (ds.train_mask, ds.val_mask, ds.test_mask))
-    assert evaluate(g_norm, ds, params) == want
+    assert evaluate(ds, lambda: full_forward(g_norm, ds.features, params,
+                                             keep_z=False)[1]) == want
     assert 0.0 < sum(want) and (empty == "none" or 0.0 in want)
 
 
@@ -706,13 +707,29 @@ def test_divergence_aborts_with_checkpoint_dump(tmp_path):
     part = partition_graph(ds.graph, 2, seed=1)
     for mode in ("gas", "full"):
         cfg = TrainConfig(mode=mode, epochs=2, hidden=4, seed=1, lr=1.0)
-        prefix = str(tmp_path / mode)
+        ckpt = str(tmp_path / f"{mode}.ckpt")
         with np.errstate(over="ignore", invalid="ignore"):
             ds.features[:] = 1e200  # first forward goes non-finite
             with pytest.raises(FloatingPointError):
-                run_training(cfg, ds, part, dump_prefix=prefix)
+                run_training(cfg, ds, part, checkpoint_path=ckpt)
         assert (tmp_path / f"{mode}_diverged.ckpt").exists(), mode
         assert (tmp_path / f"{mode}_history_l1.bin").exists(), mode
+
+
+@pytest.mark.parametrize("mode", ["gas", "rest", "full"])
+def test_parameter_divergence_dumps_before_raising(tmp_path, mode):
+    # at lr=1e300 the first step's own forward is finite; the parameters it
+    # writes make evaluate's whole-graph forward the first non-finite one
+    ds = small_dataset(seed=26)
+    part = partition_graph(ds.graph, 2, seed=1)
+    cfg = TrainConfig(mode=mode, epochs=1, hidden=4, seed=1, lr=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError):
+            run_training(cfg, ds, part, checkpoint_path=str(tmp_path / "run.ckpt"))
+    assert trainer.load_checkpoint(str(tmp_path / "run_diverged.ckpt")).dims == \
+        [ds.num_features, 4, ds.num_classes]
+    assert (tmp_path / "run_history_l1.bin").exists()
+    assert not (tmp_path / "run.ckpt").exists()  # no epoch completed
 
 
 def csc_t_matmul(adj: NormAdj, g: np.ndarray) -> np.ndarray:
