@@ -8,8 +8,7 @@ checker for the induced gradient-error bound.
 """
 
 from .graph import (CsrGraph, Dataset, NormAdj, load_dataset,
-                    normalize_adjacency, sbm_generate, save_dataset,
-                    spectral_norm_upper)
+                    normalize_adjacency, sbm_generate, save_dataset)
 from .history import HistoryTable, persistence_stats
 from .metrics import (BoundConstants, MetricsRecord, approximation_error,
                       bound_constants, export_metrics, gradient_error_bound)

@@ -4,7 +4,7 @@ Each instance builds a small community graph, fills the memory table from a
 perturbed parameter vector (synthetic staleness), recomputes every node's
 output through the memory-filled batch path at the current parameters, and
 compares the measured loss-gradient gap against the bound evaluated from
-operator-norm envelopes. Ratios above 1 indicate a broken norm computation
+exact operator norms. Ratios above 1 indicate a broken norm computation
 or forward pass, not noise.
 """
 
@@ -41,14 +41,17 @@ def _ratio(lhs, rhs) -> np.ndarray:
 
 def bound_check_instance(seed: int, n: int = 50, num_layers: int = 2) -> BoundCheckResult:
     """One instance on an SBM graph of about n nodes and a num_layers-deep
-    GCN. A depth below 1 raises ValueError. At depth 1 no layer is stored,
-    both sides are 0 and every ratio reads 0."""
-    if num_layers < 1:
-        raise ValueError(f"num_layers must be >= 1, got {num_layers}")
+    GCN. A depth below 1, or fewer nodes than the graph's 5 blocks, raises
+    ValueError. At depth 1 no layer is stored, both sides are 0 and every
+    ratio reads 0."""
     # every instance's fixed shape: SBM blocks, hidden width, clusters, and
     # the scale of the parameter noise that makes the table stale
     blocks, hidden, num_parts, perturb = 5, 12, 4, 0.05
-    ds = sbm_generate(blocks, max(1, n // blocks), 0.3, 0.05, d_in=8,
+    if num_layers < 1:
+        raise ValueError(f"num_layers must be >= 1, got {num_layers}")
+    if n < blocks:
+        raise ValueError(f"n must be >= {blocks}, got {n}")
+    ds = sbm_generate(blocks, n // blocks, 0.3, 0.05, d_in=8,
                       seed=derive_seed(seed, "graph"))
     g_norm = normalize_adjacency(ds.graph)
     n_actual = ds.graph.num_nodes
@@ -102,7 +105,8 @@ def run_bound_check(seeds: int, n: int = 50,
                     layer_choices: tuple[int, ...] = (2, 3)) -> float:
     """Max LHS/RHS ratio over `seeds` instances per layer depth; values at or
     below 1.0 mean the bound dominated every measurement. A seed count below
-    1 raises ValueError, as a depth below 1 does in bound_check_instance."""
+    1 raises ValueError, as a depth below 1 or an n below 5 does in
+    bound_check_instance."""
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     worst = 0.0

@@ -23,7 +23,6 @@ numpy only.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -349,47 +348,6 @@ def normalize_adjacency(g: CsrGraph) -> NormAdj:
     # inv_sqrt[u] * inv_sqrt[v] == inv_sqrt[v] * inv_sqrt[u]: symmetric bitwise
     return NormAdj(num_rows=n, num_cols=n, row_ptr=row_ptr, col_idx=cols,
                    values=inv_sqrt[rows] * inv_sqrt[cols])
-
-
-def spectral_norm_upper(m, iters: int = 200, tol: float = 1e-3) -> tuple[float, bool]:
-    """Power-iteration upper envelope for the 2-norm of a matrix.
-
-    Accepts a square NormAdj or a dense ndarray. Iterates on the Gram operator
-    M^T M from a fixed all-ones start, so the result is deterministic and
-    sign-oscillation-free. Returns (estimate * (1 + tol), converged); on
-    non-convergence the last estimate is still inflated and returned.
-    """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    if isinstance(m, NormAdj):
-        fwd = m.matmul
-        bwd = m.t_matmul
-        ncols = m.num_cols
-    else:
-        dense = np.asarray(m, dtype=np.float64)
-        fwd = lambda x: dense @ x
-        bwd = lambda x: dense.T @ x
-        ncols = dense.shape[1]
-    v = np.ones((ncols, 1), dtype=np.float64)
-    v /= math.sqrt(ncols)
-    sigma = 0.0
-    converged = False
-    for _ in range(iters):
-        w = fwd(v)
-        new_sigma = float(np.linalg.norm(w))
-        if new_sigma == 0.0:
-            return 0.0, True
-        v = bwd(w)
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return new_sigma * (1.0 + tol), True
-        v /= nv
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-30):
-            sigma = new_sigma
-            converged = True
-            break
-        sigma = new_sigma
-    return sigma * (1.0 + tol), converged
 
 
 def sbm_generate(blocks: int, nodes_per_block: int, p_in: float, p_out: float,

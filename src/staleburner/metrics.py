@@ -1,24 +1,29 @@
 """Staleness instrumentation and the gradient-error bound checker.
 
-The bound: for an L-layer GCN whose layer maps have Lipschitz envelopes
-alpha_l (propagation + weights) and beta_l (weights alone), and a loss whose
-gradient is eps-Lipschitz in the logits, the gap between loss gradients
-evaluated at memory-filled outputs and at fresh outputs satisfies
+The bound: for an L-layer GCN whose weight matrices have 2-norms beta_l and
+whose layers propagate through the normalized adjacency A (graph.py), and a
+loss whose gradient is eps-Lipschitz in the logits, the gap between loss
+gradients evaluated at memory-filled outputs and at fresh outputs satisfies
 
     |grad_L(out_stale) - grad_L(out_fresh)|
-        <= eps * sum_l (prod_{k>l} alpha_k) * beta_l * C_v * E_{l-1}
+        <= eps * sum_l (prod_{k>l} beta_k) * beta_l * C_v * E_{l-1}
 
 where E_l is the stored-versus-fresh error of layer l's rows and C_v is
-either |N(v)| * |row_v(adj)| (per-node form) or the operator 2-norm of the
-propagation matrix (matrix form, Frobenius layer errors). Layer 0 inputs are
-raw features, so E_0 = 0 by construction.
+either |N(v)| * |row_v(A)| (per-node form) or |A|_2 = 1 (matrix form,
+Frobenius layer errors). Layer 0 inputs are raw features, so E_0 = 0 by
+construction. Layer k's full map (ReLU, weights, propagation) is
+beta_k-Lipschitz: ReLU is 1-Lipschitz and |A|_2 = 1.
+
+Both norms are exact. With self-loops and symmetric normalization, A is
+similar to the row-stochastic D^-1 (adjacency + I), so no eigenvalue
+exceeds 1 in modulus, and 1 is attained at D^(1/2) * 1; A is symmetric, so
+its 2-norm is that 1. Acceptance criterion 8 checks this on 100 graphs.
+Each beta_l is the largest singular value of W_l, np.linalg.norm(W_l, 2).
 
 eps (the module constant EPS) is 1.0 for mean softmax cross-entropy: the
 softmax Jacobian is symmetric with eigenvalues p_i(1 - p_i) and pair terms
 bounded by its diagonal, so its 2-norm is at most 1; averaging over the mask
-divides by the mask size, which only shrinks the constant. Norm envelopes
-come from power iteration inflated by (1 + tol), spectral_norm_upper's
-default tol, so undershoot cannot break dominance.
+divides by the mask size, which only shrinks the constant.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NormAdj, spectral_norm_upper
+from .graph import NormAdj
 from .history import NEVER, HistoryTable
 from .model import GcnParams
 
@@ -159,24 +164,21 @@ def approximation_error(source, oracle) -> list[float] | float:
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """The norm envelopes the bound multiplies. Layer l's full map (ReLU,
-    weights, propagation) has Lipschitz envelope beta[l-1] * adj_norm, the
-    product gradient_error_bound forms."""
-    beta: tuple[float, ...]       # per-layer weight-matrix norm envelope
-    adj_norm: float               # operator 2-norm envelope of the propagation
+    """The norms the bound multiplies. Layer l's full map (ReLU, weights,
+    propagation) is beta[l-1]-Lipschitz, since the propagation's 2-norm is
+    1 (module docstring)."""
+    beta: tuple[float, ...]       # per-layer weight-matrix 2-norm
     row_norms: np.ndarray         # per-node row 2-norms of the propagation
     degrees: np.ndarray           # per-node aggregation fan-in (self included)
 
     def validate(self) -> None:
-        vals = list(self.beta) + [self.adj_norm]
-        if not all(np.isfinite(v) and v > 0 for v in vals):
+        if not all(np.isfinite(b) and b > 0 for b in self.beta):
             raise ValueError("bound constants must be positive and finite")
 
 
 def bound_constants(params: GcnParams, adj: NormAdj) -> BoundConstants:
-    adj_norm, _ = spectral_norm_upper(adj)
-    betas = tuple(spectral_norm_upper(w)[0] for w in params.weights)
-    return BoundConstants(beta=betas, adj_norm=adj_norm, row_norms=adj.row_norms(),
+    return BoundConstants(beta=tuple(float(np.linalg.norm(w, 2)) for w in params.weights),
+                          row_norms=adj.row_norms(),
                           degrees=np.diff(adj.row_ptr).astype(np.float64))
 
 
@@ -188,22 +190,21 @@ def gradient_error_bound(consts: BoundConstants, layer_errors: list[float],
     layer_errors[l] is the error of layer-l rows (l = 0 is the input layer
     and is 0 whenever raw features feed the first layer). node selects the
     per-node form: a node id gives that node's bound, an array of ids one
-    bound per id. None uses the matrix form with the operator norm; divided
-    by EPS, that form bounds the final-layer output gap itself. Layer k's
-    tail factor is its full-map envelope beta[k-1] * adj_norm (ReLU is
-    1-Lipschitz).
+    bound per id. None uses the matrix form, whose propagation factor is
+    the operator's 2-norm, 1; divided by EPS, that form bounds the
+    final-layer output gap itself. Layer k's tail factor is beta[k-1].
     """
     L = len(consts.beta)
     if len(layer_errors) != L:
         raise ValueError(f"need {L} layer errors, got {len(layer_errors)}")
     if node is None:
-        factor = consts.adj_norm
+        factor = 1.0
     else:
         factor = consts.degrees[node] * consts.row_norms[node]
     total = 0.0
     for l in range(1, L + 1):
         tail = 1.0
         for k in range(l + 1, L + 1):
-            tail *= consts.beta[k - 1] * consts.adj_norm
+            tail *= consts.beta[k - 1]
         total += tail * consts.beta[l - 1] * factor * layer_errors[l - 1]
     return EPS * total

@@ -270,10 +270,12 @@ def schedule_epoch(part: Partition, clusters_per_batch: int, refresh_per_step: i
     A seeded permutation of cluster ids is chunked into batches of
     clusters_per_batch; chunk j is the gradient batch of step j, so every
     cluster takes a gradient step exactly once per epoch. Refresh slots reuse
-    the same chunk cycle at evenly strided offsets, which spaces the pushes of
-    any one cluster ceil(num_chunks / (refresh_per_step + 1)) steps apart --
-    the table-wide refresh gap the schedule is built to guarantee, across
-    epoch boundaries too.
+    the same chunk cycle at evenly strided nonzero offsets, one slot per
+    other chunk at most: a step refreshes S = min(refresh_per_step,
+    num_chunks - 1) chunks, never its own gradient chunk and none twice.
+    This spaces the pushes of any one cluster ceil(num_chunks / (S + 1))
+    steps apart -- the table-wide refresh gap the schedule is built to
+    guarantee, across epoch boundaries too.
     """
     P = part.num_parts
     c = clusters_per_batch
@@ -286,7 +288,8 @@ def schedule_epoch(part: Partition, clusters_per_batch: int, refresh_per_step: i
     perm = Rng(seed).permutation(P)
     nb = math.ceil(P / c)
     chunks = [tuple(perm[i * c:(i + 1) * c]) for i in range(nb)]
-    offsets = [((i + 1) * nb) // (F + 1) for i in range(F)]
+    slots = min(F, nb - 1)
+    offsets = [((i + 1) * nb) // (slots + 1) for i in range(slots)]
     return [ScheduleStep(refresh=tuple(chunks[(j + o) % nb] for o in offsets),
                          grad=chunks[j])
             for j in range(nb)]

@@ -89,8 +89,12 @@ class TrainConfig:
             raise ValueError("clusters_per_batch must be >= 1")
         if self.probe_every < 0:
             raise ValueError("probe_every must be >= 0")
-        if self.epochs < 0 or self.num_layers < 1 or self.hidden < 1:
-            raise ValueError("epochs, num_layers, hidden must be positive")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.num_layers < 1:
+            raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):

@@ -290,6 +290,15 @@ def test_bound_check_refuses_depth_or_seeds_below_one(capsys, flag, value, name)
     assert f"{name} must be >= 1, got {value.split(',')[-1]}" in lines[0]
 
 
+@pytest.mark.parametrize("n", ["4", "3", "0", "-5"])
+def test_bound_check_refuses_n_below_five(capsys, n):
+    code, stdout, stderr = run_cli(capsys, "bound-check", "--seeds", "1", "--n", n)
+    assert code == 1 and stdout == ""
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ValueError:")
+    assert f"n must be >= 5, got {n}" in lines[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--out", "x", "--blocks", "3", "--nodes-per-block", "10",
      "--p-in", "0.5", "--p-out", "0.05", "--d-in", "-3"],

@@ -3,7 +3,7 @@ import pytest
 
 from staleburner.graph import (CsrGraph, Dataset, DatasetError, NormAdj, csr_from_edges,
                                load_dataset, normalize_adjacency, save_dataset,
-                               sbm_generate, spectral_norm_upper)
+                               sbm_generate)
 from staleburner.partition import make_batch, partition_graph
 
 from conftest import dense_norm_adj, path_graph, star_graph
@@ -249,37 +249,12 @@ def test_normalize_matches_dense_oracle_random():
         assert np.allclose(adj.to_dense(), dense_norm_adj(ds.graph), atol=1e-12)
 
 
-def test_spectral_norm_scalar_one():
-    up, converged = spectral_norm_upper(np.array([[1.0]]), tol=1e-3)
-    assert converged
-    assert up == pytest.approx(1.0 * 1.001, abs=1e-12)
-
-
-def test_spectral_norm_rank_one():
-    # eigenvalues {1, 0}
-    up, converged = spectral_norm_upper(np.array([[0.5, 0.5], [0.5, 0.5]]), tol=1e-3)
-    assert converged
-    assert abs(up / 1.001 - 1.0) <= 1e-3
-
-
-def test_spectral_norm_reports_non_convergence():
-    # two nearly equal singular values keep successive estimates moving
-    m = np.diag([1.0, 0.999999])
-    up, converged = spectral_norm_upper(m, iters=1, tol=1e-12)
-    assert not converged
-    assert up > 0.0
-    with pytest.raises(ValueError):
-        spectral_norm_upper(m, iters=0)
-
-
 def test_norm_adj_spectral_bounded():
     for seed in range(10):
         ds = sbm_generate(4, 15, 0.3, 0.05, seed=seed)
         adj = normalize_adjacency(ds.graph)
         eigs = np.linalg.eigvalsh(adj.to_dense())
         assert np.abs(eigs).max() <= 1.0 + 1e-6
-        up, _ = spectral_norm_upper(adj, tol=1e-3)
-        assert np.abs(eigs).max() <= up <= 1.0 + 2e-3
 
 
 def test_matmul_matches_dense():

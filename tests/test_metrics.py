@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from staleburner import metrics
+from staleburner import boundcheck, metrics
 from staleburner.boundcheck import bound_check_instance, run_bound_check
 from staleburner.graph import normalize_adjacency, sbm_generate
 from staleburner.history import HistoryTable
@@ -61,9 +61,40 @@ def test_bound_constants_structure():
     consts = bound_constants(params, adj)
     consts.validate()
     assert len(consts.beta) == 2
-    assert all(b > 0 for b in consts.beta) and consts.adj_norm > 0
+    assert consts.beta == tuple(float(np.linalg.norm(w, 2)) for w in params.weights)
+    assert all(b > 0 for b in consts.beta)
     assert metrics.EPS == 1.0
     assert consts.degrees.min() >= 1.0
+
+
+def test_bound_constants_are_at_least_each_weights_largest_singular_value(monkeypatch):
+    # criterion 3's depth-3 instance at seed 41: each weight's two largest
+    # singular values lie within 14% of each other, where an iterative
+    # estimate that stops early reads low
+    seen = []
+    real = boundcheck.bound_constants
+
+    def recording(params, adj):
+        seen.append((params, real(params, adj)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(boundcheck, "bound_constants", recording)
+    bound_check_instance(seed=41 * 7919 + 3, n=50, num_layers=3)
+    (params, consts), = seen
+    assert len(consts.beta) == 3
+    for w, beta in zip(params.weights, consts.beta):
+        sigma = float(np.sqrt(np.linalg.eigvalsh(w.T @ w).max()))
+        assert beta >= sigma * (1.0 - 1e-12)
+
+
+def test_matrix_form_propagates_with_factor_one():
+    # |A|_2 = 1, so at 2 layers the matrix form is EPS * beta_2 * E_1
+    ds = sbm_generate(3, 12, 0.3, 0.05, seed=11)
+    adj = normalize_adjacency(ds.graph)
+    params = init_params([ds.num_features, 5, ds.num_classes], seed=12)
+    consts = bound_constants(params, adj)
+    err = 0.37
+    assert gradient_error_bound(consts, [0.0, err]) == metrics.EPS * consts.beta[1] * err
 
 
 def test_approximation_error_fresh_table_is_zero():
@@ -211,6 +242,16 @@ def test_bound_check_refuses_depth_below_one():
             bound_check_instance(seed=0, n=30, num_layers=depth)
     with pytest.raises(ValueError, match="num_layers must be >= 1, got 0"):
         run_bound_check(seeds=1, n=30, layer_choices=(2, 0))
+
+
+def test_bound_check_refuses_fewer_nodes_than_blocks():
+    # n // 5 nodes per block: below 5, n was floored to 5-node graphs
+    for n in (4, 3, 0, -5):
+        with pytest.raises(ValueError, match=f"n must be >= 5, got {n}"):
+            bound_check_instance(seed=0, n=n, num_layers=2)
+    with pytest.raises(ValueError, match="n must be >= 5, got 3"):
+        run_bound_check(seeds=1, n=3)
+    assert bound_check_instance(seed=0, n=5, num_layers=2).matrix_ratio <= 1.0
 
 
 def test_run_bound_check_refuses_no_seeds():

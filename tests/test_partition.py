@@ -210,6 +210,23 @@ def test_schedule_refresh_covers_each_cluster_once():
         assert set(st.refresh[0]).isdisjoint(st.grad)
 
 
+def _refresh_offsets(steps):
+    """Each step's refresh chunks as offsets from its own gradient chunk in
+    the epoch's chunk cycle."""
+    cycle = [st.grad for st in steps]
+    return [[(cycle.index(chunk) - j) % len(cycle) for chunk in st.refresh]
+            for j, st in enumerate(steps)]
+
+
+@pytest.mark.parametrize("num_parts,F,want", [(4, 4, [1, 2, 3]), (2, 3, [1])])
+def test_schedule_refreshes_each_other_chunk_at_most_once(num_parts, F, want):
+    # F at or past the chunk count: one slot per other chunk, never the
+    # step's own gradient chunk (offset 0) and no chunk twice
+    steps = schedule_epoch(_fake_partition(num_parts), 1, F, seed=5)
+    assert _refresh_offsets(steps) == [want] * num_parts
+    assert steps == schedule_epoch(_fake_partition(num_parts), 1, num_parts - 1, seed=5)
+
+
 def test_schedule_two_clusters_per_batch():
     part = _fake_partition(4)
     steps = schedule_epoch(part, 2, 0, seed=5)

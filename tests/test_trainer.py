@@ -447,6 +447,21 @@ def test_run_training_plans_schedule_once(monkeypatch):
     assert len(calls) == 1  # every epoch repeats the one plan
 
 
+def test_rest_refresh_past_the_chunk_count_equals_every_other_chunk():
+    """F at or past the chunk count refreshes each other chunk once, as
+    F = chunks - 1 does. At 3 layers a refresh of the step's own gradient
+    chunk would move the records: the step's later refreshes read the
+    layer-1 rows it pushed."""
+    ds = small_dataset(seed=24)
+    part = partition_graph(ds.graph, 4, seed=6)
+    common = dict(mode="rest", num_layers=3, epochs=2, hidden=4, seed=1, probe_every=1)
+    rec_all, par_all = run_training(TrainConfig(refresh_per_step=3, **common), ds, part)
+    for F in (4, 6):
+        records, params = run_training(TrainConfig(refresh_per_step=F, **common), ds, part)
+        assert records == rec_all
+        assert np.array_equal(params.flat(), par_all.flat())
+
+
 @pytest.mark.parametrize("mode", ["gas", "rest", "rest_is"])
 def test_run_training_builds_each_cluster_set_once(monkeypatch, mode):
     """Every memory mode plans with the config's F, and the refresh slots
@@ -801,6 +816,16 @@ def test_load_checkpoint_rejects_wrong_size(tmp_path, capsys):
                  "sbm:blocks=3,nodes_per_block=12,p_in=0.4,p_out=0.05,d_in=5"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+
+
+@pytest.mark.parametrize("field,value,rule", [("epochs", -1, ">= 0"),
+                                               ("num_layers", 0, ">= 1"),
+                                               ("hidden", 0, ">= 1"),
+                                               ("hidden", -3, ">= 1")])
+def test_config_validation_names_the_field(field, value, rule):
+    with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {value}$"):
+        TrainConfig(**{field: value}).validate()
+    TrainConfig(epochs=0).validate()  # no epochs is a valid run
 
 
 def test_config_validation():
