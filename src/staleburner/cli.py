@@ -40,6 +40,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .boundcheck import run_bound_check
 from .graph import (Dataset, DatasetError, load_dataset, normalize_adjacency,
@@ -287,10 +288,17 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; an error prints one `error:` line and returns 1.
+    numpy's overflow and invalid-value warnings are silenced while the
+    command runs, in every thread: a diverging run is reported by its own
+    finiteness checks, and the warnings would only precede that line."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered",
+                                    RuntimeWarning)
+            return args.fn(args)
     except SystemExit as e:
         return int(e.code or 0)
     except (ConfigError, DatasetError, ValueError, OSError, FloatingPointError) as e:

@@ -5,24 +5,33 @@ operator adds self-loops and symmetric degree normalization, so its spectral
 norm is exactly 1 regardless of the input graph.
 
 Every operator product, transposes included, runs through one row kernel,
-scipy's CSR multi-vector product, writing straight into one output the
-caller allocates. A product whose work nnz * width reaches
-SPLIT_WORK, on a process that may run on more than one CPU, is cut into
-BLOCKS_PER_CPU row blocks of about equal nnz per CPU. Each output row is
-summed in CSR order whichever thread runs its block, so the result is
-bit-identical to the unsplit product.
+scipy's compiled CSR multi-vector product `csr_matvecs`, called on the
+operator's own three arrays and writing straight into one output the caller
+allocates. `load_sparsetools` loads scipy's `_sparsetools` extension from
+its file, so no run imports `scipy` or `scipy.sparse`: that package's
+`__init__` loads about 300 modules no line here uses, and raised a 2k-node
+run's peak RSS from 41.9 to 58.5 MiB. No scipy array is built on any
+product path; `NormAdj.csr` is a view for tests, importing `scipy.sparse`
+when first read.
+
+A product whose work nnz * width reaches SPLIT_WORK, on a process that may
+run on more than one CPU, is cut into BLOCKS_PER_CPU row blocks of about
+equal nnz per CPU. Each output row is summed in CSR order whichever thread
+runs its block, so the result is bit-identical to the unsplit product.
 
 Blocks run through one block runner, `run_blocks`, which the dense side of
 a whole-graph step (model.py) shares. Helper threads, one fewer than the
 CPUs and started on the first split job, take blocks from the front; the
 calling thread runs the first block, then takes back, last first, every
 block no helper has started. Helpers run only the kernel a job hands the
-runner: scipy's CSR product or one of model.py's block kernels, which call
-numpy only.
+runner: the compiled CSR product or one of model.py's block kernels, which
+call numpy only.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -30,10 +39,42 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse._sparsetools import csr_matvecs
 
 from .rng import Rng, derive_seed
+
+
+def load_sparsetools(scipy_dir: str):
+    """scipy's compiled `sparse/_sparsetools` extension under `scipy_dir`,
+    loaded from its file without running scipy's or scipy.sparse's
+    `__init__`. It is loaded under its full dotted name: CPython keeps one
+    copy of such an extension per (file, name), so a later
+    `from scipy.sparse import _sparsetools` yields the same functions. A
+    missing file raises ImportError naming where it was looked for; there is
+    no fallback to importing the package, which would cost its memory
+    unnoticed."""
+    stem = os.path.join(scipy_dir, "sparse", "_sparsetools")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location("scipy.sparse._sparsetools",
+                                                          stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's compiled CSR kernels are missing: no {stem} with "
+                      f"any suffix of {importlib.machinery.EXTENSION_SUFFIXES}")
+
+
+def _scipy_dir() -> str:
+    """scipy's package directory, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("staleburner needs scipy's compiled CSR kernels; "
+                          "scipy is not installed")
+    return spec.submodule_search_locations[0]
+
+
+_sparsetools = load_sparsetools(_scipy_dir())
+csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
 
 # nnz * width at which a sparse product is split into row blocks, and the
 # least work of every block of a split dense job (even_blocks). On a 2-core
@@ -182,9 +223,10 @@ class NormAdj:
 
     Invariant: the rows are the targets, and the first num_rows columns are
     the same targets in the same order, so that block of Â is symmetric bit
-    for bit and `t_matmul` is a row product too. Products use one scipy CSR
-    array built on first use from the three arrays below, which must not be
-    mutated after that.
+    for bit and `t_matmul` is a row product too. Products call scipy's
+    compiled CSR kernels on the three arrays below, the arrays a scipy
+    `csr_array` of them holds, so results are scipy's bit for bit; no scipy
+    array is built. `csr` is such an array, for tests only.
     """
 
     num_rows: int
@@ -194,8 +236,12 @@ class NormAdj:
     values: np.ndarray   # float64
 
     @cached_property
-    def csr(self) -> sparse.csr_array:
-        """The operator as a scipy CSR array, sharing `values`."""
+    def csr(self):
+        """The operator as a scipy CSR array, an oracle for tests that imports
+        scipy.sparse when first read; no product reads it. It shares the
+        three arrays, which its index-sorting methods (`power` among them)
+        reorder in place on a batch operator, whose rows are not sorted."""
+        from scipy import sparse
         return sparse.csr_array((self.values, self.col_idx, self.row_ptr),
                                 shape=(self.num_rows, self.num_cols))
 
@@ -239,21 +285,29 @@ class NormAdj:
         # peak RSS rose by 1.9 MiB
         out = np.zeros((self.num_rows, d))
         x = np.ascontiguousarray(dense, dtype=np.float64)
-        csr = self.csr
         bounds = (self.row_bounds if len(self.values) * d >= SPLIT_WORK
                   else [0, self.num_rows])
         flat_x = x.ravel()
-        run_blocks(csr_matvecs, [(r1 - r0, self.num_cols, d, csr.indptr[r0:r1 + 1],
-                                  csr.indices, csr.data, flat_x, out[r0:r1].ravel())
+        run_blocks(csr_matvecs, [(r1 - r0, self.num_cols, d, self.row_ptr[r0:r1 + 1],
+                                  self.col_idx, self.values, flat_x, out[r0:r1].ravel())
                                  for r0, r1 in zip(bounds[:-1], bounds[1:])])
         return out
 
     def row_norms(self) -> np.ndarray:
-        """Per-row Euclidean norm of the operator rows."""
-        return np.sqrt(self.csr.power(2) @ np.ones(self.num_cols))
+        """Per-row Euclidean norm of the operator rows: the squares summed
+        in CSR order by the kernel call `csr.power(2) @ ones` makes, which
+        on column-sorted rows gives its bits."""
+        sums = np.zeros(self.num_rows)
+        csr_matvec(self.num_rows, self.num_cols, self.row_ptr, self.col_idx,
+                   self.values ** 2, np.ones(self.num_cols), sums)
+        return np.sqrt(sums)
 
     def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
+        """The operator as a dense array; the CSR holds no duplicate entry."""
+        dense = np.zeros((self.num_rows, self.num_cols))
+        dense[np.repeat(np.arange(self.num_rows), np.diff(self.row_ptr)),
+              self.col_idx] = self.values
+        return dense
 
 
 def _cpus() -> int:

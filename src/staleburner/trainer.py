@@ -258,7 +258,8 @@ def _probe_apx_errors(state: TrainState, grad_batches: list[MiniBatch], memory: 
 
 def save_checkpoint(params: GcnParams, path: str) -> None:
     """Little-endian binary: uint32 layer count, uint32 dims[0..L], then per
-    layer the float32 weight matrix (row-major) and bias vector."""
+    layer the float32 weight matrix (row-major) and bias vector. A value
+    beyond float32's range is written as +inf or -inf."""
     dims = params.dims
     with open(path, "wb") as f:
         f.write(struct.pack("<I", params.num_layers))

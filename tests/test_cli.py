@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from staleburner import cli
@@ -94,16 +97,22 @@ def test_train_zero_epochs_writes_header_bytes(tmp_path, capsys, layers, header)
     assert out.read_bytes() == header.encode()
 
 
-def test_train_divergence_leaves_dump_next_to_checkpoint(tmp_path, capsys):
+def test_train_divergence_leaves_dump_next_to_checkpoint(tmp_path):
     # the parameters blow up in the first step: evaluate's forward is the
-    # first to go non-finite, so the dump must cover it
+    # first to go non-finite, so the dump must cover it. Run as a user runs
+    # it, so that numpy's warnings would reach stderr: the error line must
+    # be all it prints.
     cfg = write_config(tmp_path / "c.cfg", mode="gas", lr=1e300)
     ckpt = tmp_path / "m.ckpt"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, _, stderr = run_cli(capsys, "train", "--config", cfg, "--out",
-                                  str(tmp_path / "m.csv"), "--checkpoint", str(ckpt))
-    assert code == 1
-    assert stderr.startswith("error: FloatingPointError:")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "staleburner.cli", "train", "--config",
+                           cfg, "--out", str(tmp_path / "m.csv"), "--checkpoint", str(ckpt)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: FloatingPointError:")
     assert (tmp_path / "m_diverged.ckpt").exists()
     assert (tmp_path / "m_history_l1.bin").exists()
 

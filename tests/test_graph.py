@@ -1,6 +1,14 @@
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from staleburner import graph
 from staleburner.graph import (CsrGraph, Dataset, DatasetError, NormAdj, csr_from_edges,
                                load_dataset, normalize_adjacency, save_dataset,
                                sbm_generate)
@@ -342,6 +350,65 @@ def test_matmul_sums_in_csr_order_bitwise():
             got = adj.matmul(x)
             assert got.dtype == np.float64
             assert np.array_equal(got, matmul_csr_order_reference(adj, x))
+
+
+def test_row_norms_and_to_dense_equal_scipy_bitwise():
+    from scipy import sparse
+    adj, local = _square_and_halo_operators()
+    assert np.array_equal(adj.row_norms(), np.sqrt(adj.csr.power(2) @ np.ones(adj.num_cols)))
+    # a batch's rows are not column-sorted, and scipy's power() sorts them
+    # first: the row sums are scipy's product of the squares in CSR order
+    squares = sparse.csr_array((local.values ** 2, local.col_idx, local.row_ptr),
+                               shape=(local.num_rows, local.num_cols))
+    assert np.array_equal(local.row_norms(), np.sqrt(squares @ np.ones(local.num_cols)))
+    for op in (adj, local):
+        assert np.array_equal(op.to_dense(), op.csr.toarray())
+
+
+def test_row_norms_leave_a_batch_operator_unchanged():
+    """scipy's power() sorts the columns of the arrays it shares in place,
+    which reordered the operator's later products."""
+    _, local = _square_and_halo_operators()
+    col_idx, values = local.col_idx.copy(), local.values.copy()
+    x = np.random.default_rng(7).normal(size=(local.num_cols, 3))
+    before = local.matmul(x)
+    local.row_norms()
+    assert np.array_equal(local.col_idx, col_idx) and np.array_equal(local.values, values)
+    assert np.array_equal(local.matmul(x), before)
+
+
+def test_missing_kernel_file_fails_loudly(tmp_path):
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+        graph.load_sparsetools(str(tmp_path))
+
+
+def test_runs_import_neither_scipy_nor_scipy_sparse():
+    """Training and the bound constants run on scipy's compiled kernels
+    alone; the kernel is the one `scipy.sparse` exposes once imported."""
+    script = textwrap.dedent("""
+        import sys
+        import staleburner, staleburner.cli, staleburner.trainer, staleburner.boundcheck
+        from staleburner import graph
+        from staleburner.graph import normalize_adjacency, sbm_generate
+        from staleburner.metrics import bound_constants
+        from staleburner.partition import partition_graph
+        from staleburner.trainer import TrainConfig, run_training
+
+        ds = sbm_generate(3, 20, 0.3, 0.05, seed=1)
+        cfg = TrainConfig(mode="rest", hidden=8, epochs=1, lr=0.01, seed=2)
+        records, params = run_training(cfg, ds, partition_graph(ds.graph, 2, seed=3))
+        assert len(records) == 2, len(records)
+        bound_constants(params, normalize_adjacency(ds.graph))
+        assert "scipy" not in sys.modules and "scipy.sparse" not in sys.modules
+        from scipy.sparse import _sparsetools
+        assert graph.csr_matvecs is _sparsetools.csr_matvecs
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_t_matmul_matches_scatter_bitwise():
