@@ -1,11 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from staleburner.graph import csr_from_edges, normalize_adjacency, sbm_generate
-from staleburner.partition import (make_batch, make_batch_from_nodes,
-                                   partition_graph, schedule_epoch)
+from staleburner.partition import (_neighbour_cluster_counts, make_batch,
+                                   make_batch_from_nodes, partition_graph,
+                                   schedule_epoch)
 from staleburner.trainer import rest_is_refresh_selection
 
 from conftest import clique_union, dense_norm_adj, path_graph
@@ -285,7 +287,53 @@ PARTITION_CASES = [
     ("paths-stars-isolated", _paths_stars_isolated, [7, 64]),
     # one edge, and node blocks of the proposal pass with no edge at all
     ("one-edge-8k", lambda: csr_from_edges(8300, np.array([8250]), np.array([8251])), [3]),
+    # a hub of degree 300: the neighbour-cluster table needs uint16
+    ("sbm-with-hub", lambda: _sbm_with_hub(), [4, 16]),
+    # many parts: most rows of the table are zero, clusters of 2 to 10 nodes
+    ("sweep-2k-256", lambda: sbm_generate(10, 200, 0.10, 0.002, seed=4).graph, [256, 1000]),
 ]
+
+
+def _sbm_with_hub():
+    """A 400-node SBM and one hub joined to every other SBM node and to 100
+    leaves of its own: degree 300."""
+    g = sbm_generate(4, 100, 0.1, 0.01, seed=5).graph
+    rows = np.repeat(np.arange(400, dtype=np.int64), np.diff(g.row_ptr))
+    once = rows < g.col_idx
+    hub = 400
+    spokes = np.concatenate([np.arange(0, 400, 2), np.arange(401, 501)])
+    return csr_from_edges(501, np.concatenate([rows[once], np.full(300, hub)]),
+                          np.concatenate([g.col_idx[once], spokes]))
+
+
+def test_neighbour_cluster_table_counts_in_the_narrowest_dtype():
+    for g, dtype in ((_sbm_with_hub(), np.uint16), (path_graph(6), np.uint8),
+                     (csr_from_edges(3, np.zeros(0, np.int64), np.zeros(0, np.int64)),
+                      np.uint8)):
+        n = g.num_nodes
+        cluster_of = np.arange(n, dtype=np.int64) % 3
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.row_ptr))
+        table = _neighbour_cluster_counts(g, rows, cluster_of, 3)
+        want = np.zeros((n, 3), dtype=np.int64)
+        np.add.at(want, (rows, cluster_of[g.col_idx]), 1)
+        assert table.dtype == dtype
+        assert np.array_equal(table, want)
+    assert int(np.diff(_sbm_with_hub().row_ptr).max()) == 300
+
+
+def test_partition_memory_stays_near_the_table():
+    """A 20k-node graph at 512 parts: the uint8 table is 10 MB, and no int64
+    array of its shape (80 MB) is built on the way."""
+    import staleburner.partition as P
+    g = sbm_generate(20, 1000, 0.01, 1e-4, seed=1).graph
+    tracemalloc.start()
+    try:
+        part = P.partition_graph(g, 512, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    part.validate(g)
+    assert peak < 32 * 2**20, peak
 
 
 @pytest.mark.parametrize("name,make,part_counts", PARTITION_CASES,
