@@ -463,9 +463,9 @@ def sbm_generate(blocks: int, nodes_per_block: int, p_in: float, p_out: float,
     train = np.zeros(n, dtype=bool)
     val = np.zeros(n, dtype=bool)
     test = np.zeros(n, dtype=bool)
-    class_ids = [np.flatnonzero(labels == c).tolist() for c in range(blocks)]
-    mask_rng.shuffle_each(class_ids)
-    for ids in class_ids:
+    for c in range(blocks):
+        ids = np.flatnonzero(labels == c).tolist()
+        mask_rng.shuffle(ids)
         k = len(ids)
         n_tr = max(1, int(0.6 * k))
         n_val = int(0.2 * k)

@@ -94,20 +94,22 @@ def export_metrics(series: list[MetricsRecord], num_layers: int, path: str) -> N
 APX_BLOCK_BYTES = 1 << 16
 
 
-def row_distances(stored: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """The L2 distance between each row of stored and of fresh, two arrays
-    of one (n, d) shape, as an n-vector.
+def _mean_row_distance(stored: np.ndarray, fresh: np.ndarray,
+                       warm: np.ndarray | None = None) -> float:
+    """Mean L2 distance between the rows of stored and fresh, two arrays of
+    one (n, d) shape, over the rows the boolean mask `warm` selects (None:
+    every row).
 
-    The call allocates two arrays: that vector and one float64 buffer of
-    at most APX_BLOCK_BYTES (one row if a row is larger). Row slices, never
-    gathers, pass through the buffer a block at a time: the stored rows
-    cast to float64, minus the fresh rows, squared, summed per row, then
-    the square roots. These are the operations of np.linalg.norm(stored.
-    astype(np.float64) - fresh, axis=1) in the same order, and a row's norm
-    depends neither on its block nor on the other rows passed, so every
-    norm has the whole-array formula's bits. The cast is a copy into the
-    buffer, since a casting ufunc allocates a 64 KiB buffer of its own on
-    every call."""
+    The call allocates two arrays: the n-float vector of row norms and one
+    float64 buffer of at most APX_BLOCK_BYTES (one row if a row is larger);
+    a mask adds the vector of its rows' norms. Row slices, never gathers,
+    pass through the buffer a block at a time: the stored rows cast to
+    float64, minus the fresh rows, squared, summed per row, then the square
+    roots. These are the operations of np.linalg.norm(stored.astype(
+    np.float64) - fresh, axis=1) in the same order, and a row's norm does
+    not depend on its block, so every norm and the mean have the
+    whole-array formula's bits. The cast is a copy into the buffer, since a
+    casting ufunc allocates a 64 KiB buffer of its own on every call."""
     n, d = stored.shape
     rows = max(1, APX_BLOCK_BYTES // max(1, 8 * d))
     norms = np.empty(n)
@@ -120,14 +122,6 @@ def row_distances(stored: np.ndarray, fresh: np.ndarray) -> np.ndarray:
         np.multiply(blk, blk, out=blk)
         np.add.reduce(blk, axis=1, out=norms[start:stop])
     np.sqrt(norms, out=norms)
-    return norms
-
-
-def _mean_row_distance(stored: np.ndarray, fresh: np.ndarray,
-                       warm: np.ndarray | None = None) -> float:
-    """Mean of `row_distances` over the rows the boolean mask `warm`
-    selects (None: every row); a mask adds the vector of its rows' norms."""
-    norms = row_distances(stored, fresh)
     if warm is not None:
         norms = norms[warm]
     return float(norms.mean())

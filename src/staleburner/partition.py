@@ -67,19 +67,24 @@ def _edge_cut(g: CsrGraph, cluster_of: np.ndarray) -> int:
 
 
 _TABLE_BLOCK = 1 << 14  # table entries counted per block: 128 KiB of int64
+# the largest neighbour-cluster table partition_graph builds: 50k nodes at
+# 2684 parts, or 20k nodes at 6710, at degrees up to 255
+TABLE_MAX_BYTES = 1 << 27
+
+
+def _table_dtype(g: CsrGraph) -> np.dtype:
+    """The narrowest unsigned dtype that holds g's largest degree."""
+    return np.min_scalar_type(int(np.diff(g.row_ptr).max(initial=0)))
 
 
 def _neighbour_cluster_counts(g: CsrGraph, rows: np.ndarray, cluster_of: np.ndarray,
                               num_parts: int) -> np.ndarray:
     """The n x num_parts table whose entry (v, p) counts v's neighbours in
-    cluster p; `rows` is the CSR row of every entry of g.col_idx. Its dtype
-    is the narrowest unsigned one that holds the largest degree, so the
-    table takes n * num_parts bytes at degrees up to 255, and n^2 bytes as
-    num_parts nears n. Rows are counted a block at a time, so the int64
-    counts of np.bincount never span more than _TABLE_BLOCK entries."""
+    cluster p, in `_table_dtype(g)`; `rows` is the CSR row of every entry of
+    g.col_idx. Rows are counted a block at a time, so the int64 counts of
+    np.bincount never span more than _TABLE_BLOCK entries."""
     n = g.num_nodes
-    degree_max = int(np.diff(g.row_ptr).max(initial=0))
-    table = np.empty((n, num_parts), dtype=np.min_scalar_type(degree_max))
+    table = np.empty((n, num_parts), dtype=_table_dtype(g))
     keys = rows * num_parts + cluster_of[g.col_idx]
     block = max(1, _TABLE_BLOCK // num_parts)
     for lo in range(0, n, block):
@@ -115,12 +120,19 @@ def partition_graph(g: CsrGraph, num_parts: int, seed: int) -> Partition:
 
     The refinement holds an n x num_parts table of neighbour counts in the
     narrowest unsigned dtype of the largest degree: n * num_parts bytes up
-    to degree 255 (10 MB at 20k nodes and 512 parts), and n^2 bytes as
-    num_parts nears n on a large graph.
+    to degree 255 (10 MB at 20k nodes and 512 parts). A table above
+    TABLE_MAX_BYTES is refused with a ValueError before any work, since it
+    grows to n^2 bytes as num_parts nears n.
     """
     n = g.num_nodes
     if not (1 <= num_parts <= n):
         raise ValueError(f"num_parts must be in [1, {n}], got {num_parts}")
+    table_bytes = n * num_parts * _table_dtype(g).itemsize
+    if table_bytes > TABLE_MAX_BYTES:
+        raise ValueError(
+            f"{n} nodes at {num_parts} parts need a {table_bytes / 2**20:.0f} MiB "
+            f"neighbour-count table; at most {TABLE_MAX_BYTES >> 20} MiB is "
+            f"supported, so use at most {TABLE_MAX_BYTES // (table_bytes // num_parts)} parts")
 
     rng = Rng(seed)
     degrees = g.degrees()

@@ -47,7 +47,7 @@ import numpy as np
 
 from .graph import Dataset, NormAdj, normalize_adjacency
 from .history import HistoryTable, persistence_stats
-from .metrics import MetricsRecord, approximation_error, row_distances
+from .metrics import MetricsRecord, approximation_error
 from .model import (Adam, GcnParams, LayerCache, backward,
                     full_forward, init_params, layer_apply, loss_and_grad)
 from .partition import (MiniBatch, Partition, make_batch,
@@ -239,23 +239,6 @@ def table_logits(batches: list[MiniBatch], ax: np.ndarray, params: GcnParams,
     return logits
 
 
-def _final_layer_error(batches: list[MiniBatch], ax: np.ndarray, params: GcnParams,
-                       history: HistoryTable, oracle_out: np.ndarray) -> float:
-    """Mean row distance between the logits read through the table and
-    `oracle_out`, without building those logits: every batch runs against
-    `history` without pushing, as in `table_logits`, and writes its
-    in-batch rows' `row_distances` into one n-vector. Each distance and the
-    mean have the bits of `approximation_error(table_logits(...),
-    oracle_out)`. The batches must cover every node, as a plan's gradient
-    batches do; a row that none covers reads nan."""
-    dist = np.full(len(ax), np.nan)
-    for batch in batches:
-        hs, _ = batch_forward_with_history(batch, ax, params, history,
-                                           push=False, step=0)
-        dist[batch.in_batch] = row_distances(hs[-1], oracle_out[batch.in_batch])
-    return float(dist.mean())
-
-
 def _probe_apx_errors(state: TrainState, grad_batches: list[MiniBatch], memory: bool,
                       oracle: Callable[[], LayerCache],
                       ax: np.ndarray) -> tuple[float, ...]:
@@ -268,8 +251,8 @@ def _probe_apx_errors(state: TrainState, grad_batches: list[MiniBatch], memory: 
         return tuple(0.0 for _ in range(state.params.num_layers))
     oracle_hs = oracle().hs
     table_errs = approximation_error(state.history, oracle_hs)
-    final_err = _final_layer_error(grad_batches, ax, state.params, state.history,
-                                   oracle_hs[-1])
+    final_err = approximation_error(
+        table_logits(grad_batches, ax, state.params, state.history), oracle_hs[-1])
     return tuple(table_errs) + (final_err,)
 
 

@@ -64,6 +64,16 @@ def test_partition_emits_csv_and_summary(tmp_path, capsys):
     assert out.read_bytes() == want.encode()
 
 
+def test_partition_refuses_a_table_above_the_limit(tmp_path, capsys):
+    out = tmp_path / "clusters.csv"
+    code, _, stderr = run_cli(capsys, "partition", "--data",
+                              "sbm:blocks=12,nodes_per_block=1000,p_in=0.002,p_out=1e-5",
+                              "--parts", "12000", "--out", str(out))
+    assert code == 1
+    assert stderr.startswith("error: ValueError: 12000 nodes at 12000 parts need a 137 MiB")
+    assert not out.exists()
+
+
 def test_train_writes_metrics(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg")
     out = tmp_path / "metrics.csv"

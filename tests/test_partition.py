@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from staleburner import partition
 from staleburner.graph import csr_from_edges, normalize_adjacency, sbm_generate
 from staleburner.partition import (_neighbour_cluster_counts, make_batch,
                                    make_batch_from_nodes, partition_graph,
@@ -285,7 +286,7 @@ PARTITION_CASES = [
     # BFS re-seeds after every path and star, and parts that fill up in the
     # middle of a star's leaf level
     ("paths-stars-isolated", _paths_stars_isolated, [7, 64]),
-    # one edge, and node blocks of the proposal pass with no edge at all
+    # one edge, and row blocks of the neighbour-count table with no edge at all
     ("one-edge-8k", lambda: csr_from_edges(8300, np.array([8250]), np.array([8251])), [3]),
     # a hub of degree 300: the neighbour-cluster table needs uint16
     ("sbm-with-hub", lambda: _sbm_with_hub(), [4, 16]),
@@ -324,16 +325,28 @@ def test_neighbour_cluster_table_counts_in_the_narrowest_dtype():
 def test_partition_memory_stays_near_the_table():
     """A 20k-node graph at 512 parts: the uint8 table is 10 MB, and no int64
     array of its shape (80 MB) is built on the way."""
-    import staleburner.partition as P
     g = sbm_generate(20, 1000, 0.01, 1e-4, seed=1).graph
     tracemalloc.start()
     try:
-        part = P.partition_graph(g, 512, seed=0)
+        part = partition_graph(g, 512, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     part.validate(g)
     assert peak < 32 * 2**20, peak
+
+
+def test_partition_refuses_a_table_above_the_limit(monkeypatch):
+    n = 12000  # a path: a uint8 table of n * n bytes, 137 MiB
+    g = csr_from_edges(n, np.arange(n - 1), np.arange(1, n))
+    with pytest.raises(ValueError, match="12000 nodes at 12000 parts.* at most 11184 parts"):
+        partition_graph(g, n, seed=0)
+    # the limit counts bytes, so the hub's uint16 table takes twice the room
+    hub = _sbm_with_hub()
+    monkeypatch.setattr(partition, "TABLE_MAX_BYTES", 501 * 16 * 2)
+    partition_graph(hub, 16, seed=0).validate(hub)
+    with pytest.raises(ValueError, match="501 nodes at 17 parts.* at most 16 parts"):
+        partition_graph(hub, 17, seed=0)
 
 
 @pytest.mark.parametrize("name,make,part_counts", PARTITION_CASES,

@@ -238,55 +238,3 @@ def test_shuffle_replays_a_rejected_draw(monkeypatch):
     assert calls == [size - 1]
     assert got == want
     assert a._s == b._s
-
-
-# shuffle_each: one bulk draw must reproduce consecutive shuffles
-
-SHUFFLE_EACH_SIZES = [
-    [],                          # no list
-    [0, 1, 2],                   # no draw at all
-    [7, 200, 3],                 # every list scalar in its own shuffle, bulk here
-    [100, 100],                  # below the bulk threshold in all
-    [1000, 0, 5000, 1, 257],     # bulk lists among empty and single ones
-    [1000] * 20,                 # sbm_generate's classes on rest-20k
-]
-
-
-@pytest.mark.parametrize("sizes", SHUFFLE_EACH_SIZES, ids=str)
-def test_shuffle_each_matches_consecutive_shuffles(sizes):
-    a, b = Rng(61), Rng(61)
-    got = [list(range(k)) for k in sizes]
-    want = [list(range(k)) for k in sizes]
-    a.shuffle_each(got)
-    for items in want:
-        shuffle_reference(b, items)
-    assert got == want
-    assert a._s == b._s
-
-
-def test_shuffle_each_replays_a_rejected_draw(monkeypatch):
-    # draw 1000 + 3 is the second list's below(997); 2^64 - 1 is above its bound
-    sizes, pos = [1001, 1000, 40], 1000 + 3
-    m = 997
-    assert 2**64 % m != 0
-    bulk = Rng.next_u64s
-    draws = bulk(Rng(67), sum(k - 1 for k in sizes))
-    assert int(draws[pos]) % m != (2**64 - 1) % m  # taking the draw would show
-    calls = []
-
-    def rejected_at_pos(self, count):
-        calls.append(count)
-        x = bulk(self, count)
-        x[pos] = np.uint64(2**64 - 1)
-        return x
-
-    monkeypatch.setattr(Rng, "next_u64s", rejected_at_pos)
-    a, b = Rng(67), Rng(67)
-    got = [list(range(k)) for k in sizes]
-    want = [list(range(k)) for k in sizes]
-    a.shuffle_each(got)
-    for items in want:
-        shuffle_reference(b, items)
-    assert calls == [sum(k - 1 for k in sizes)]
-    assert got == want
-    assert a._s == b._s

@@ -11,7 +11,7 @@ from staleburner import trainer
 from staleburner.cli import main
 from staleburner.graph import NormAdj, normalize_adjacency, sbm_generate
 from staleburner.history import NEVER, HistoryTable, persistence_stats
-from staleburner.metrics import approximation_error, format_record
+from staleburner.metrics import format_record
 from staleburner.model import (Adam, accuracy, backward, full_forward, init_params,
                                loss_and_grad)
 from staleburner.partition import (MiniBatch, Partition, make_batch,
@@ -619,68 +619,6 @@ def test_probe_reuses_evaluate_forward(monkeypatch):
     assert len(records) == 8
     assert calls == ["full_forward"] * 9
     assert all(not np.isnan(r.apx_err).any() for r in records)
-
-
-def final_error_reference(batches, ax, params, history, oracle_out):
-    """The probe's final-layer error as it was computed before
-    `_final_layer_error`: whole-graph logits through the table, one n x
-    classes array, then `approximation_error` against the oracle."""
-    logits = np.zeros((len(ax), params.dims[-1]))
-    for batch in batches:
-        hs, _ = batch_forward_with_history(batch, ax, params, history,
-                                           push=False, step=0)
-        logits[batch.in_batch] = hs[-1]
-    return approximation_error(logits, oracle_out)
-
-
-def watch_final_layer_error(monkeypatch):
-    """Record the batches and result of every `_final_layer_error` call,
-    with the reference's result on the same table."""
-    seen = []
-    real = trainer._final_layer_error
-
-    def watched(batches, ax, params, history, oracle_out):
-        got = real(batches, ax, params, history, oracle_out)
-        want = final_error_reference(batches, ax, params, history, oracle_out)
-        seen.append((batches, got, want))
-        return got
-
-    monkeypatch.setattr(trainer, "_final_layer_error", watched)
-    return seen
-
-
-@pytest.mark.parametrize("parts,per_batch", [(4, 1), (4, 3), (7, 2)])
-@pytest.mark.parametrize("mode", ["gas", "rest", "rest_is"])
-def test_probe_batches_cover_every_node(monkeypatch, mode, parts, per_batch):
-    """The probe's final layer reads the gradient batches alone, so they
-    must cover every node once; an uncovered row would read nan."""
-    ds = small_dataset(seed=26)
-    n = ds.graph.num_nodes
-    part = partition_graph(ds.graph, parts, seed=3)
-    seen = watch_final_layer_error(monkeypatch)
-    records, _ = run_training(TrainConfig(mode=mode, clusters_per_batch=per_batch,
-                                          epochs=2, hidden=4, seed=1, probe_every=1),
-                              ds, part)
-    assert len(seen) == len(records) > 0
-    for batches, got, _ in seen:
-        rows = np.concatenate([b.in_batch for b in batches])
-        assert np.array_equal(np.sort(rows), np.arange(n))
-        assert np.isfinite(got)
-
-
-@pytest.mark.parametrize("layers", [2, 3])
-@pytest.mark.parametrize("mode", ["gas", "rest", "rest_is"])
-def test_probe_final_error_equals_table_logits_bitwise(monkeypatch, mode, layers):
-    ds = sbm_generate(5, 30, 0.2, 0.02, seed=27)
-    part = partition_graph(ds.graph, 6, seed=4)
-    seen = watch_final_layer_error(monkeypatch)
-    records, _ = run_training(TrainConfig(mode=mode, num_layers=layers, epochs=2,
-                                          hidden=6, seed=2, probe_every=1),
-                              ds, part)
-    assert len(seen) == len(records) == 12
-    assert all(struct.pack("<d", got) == struct.pack("<d", want) for _, got, want in seen)
-    assert [r.apx_err[-1] for r in records] == [got for _, got, _ in seen]
-    assert len({got for _, got, _ in seen}) > 1  # the error moves as training runs
 
 
 @pytest.mark.parametrize("layers", [2, 3])
