@@ -204,7 +204,7 @@ def partition_graph(g: CsrGraph, num_parts: int, seed: int) -> Partition:
         v = -1
         while (v := pending.find(1, v + 1)) >= 0:
             row = table[v]
-            dest = row.argmax().item()
+            dest = int(row.argmax())  # a numpy scalar's .item() costs more than the argmax
             cur = cluster_of.item(v)
             if row.item(dest) <= row.item(cur):
                 continue
