@@ -67,8 +67,9 @@ def _edge_cut(g: CsrGraph, cluster_of: np.ndarray) -> int:
 
 
 _TABLE_BLOCK = 1 << 14  # table entries counted per block: 128 KiB of int64
-# the largest neighbour-cluster table partition_graph builds: 50k nodes at
-# 2684 parts, or 20k nodes at 6710, at degrees up to 255
+# bytes of the largest neighbour-cluster table partition_graph builds; it
+# refuses larger ones. 50k nodes at 2684 parts, or 20k nodes at 6710, at
+# degrees up to 255
 TABLE_MAX_BYTES = 1 << 27
 
 
