@@ -6,8 +6,8 @@ norm is exactly 1 regardless of the input graph.
 
 Every operator product, transposes included, runs through one row kernel,
 scipy's compiled CSR multi-vector product `csr_matvecs`, called on the
-operator's own three arrays and writing straight into one output the caller
-allocates. `load_sparsetools` loads scipy's `_sparsetools` extension from
+operator's own three arrays and writing straight into one output array,
+fresh or, for a transpose, one the caller hands back. `load_sparsetools` loads scipy's `_sparsetools` extension from
 its file, so no run imports `scipy` or `scipy.sparse`: that package's
 `__init__` loads about 300 modules no line here uses, and raised a 2k-node
 run's peak RSS from 41.9 to 58.5 MiB. No scipy array is built on any
@@ -257,33 +257,50 @@ class NormAdj:
         sums its terms sequentially in CSR order."""
         return self._row_product(dense)
 
-    def t_matmul(self, dense: np.ndarray) -> np.ndarray:
+    def t_matmul(self, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The targets' rows of the transpose product, (num_rows, d) float64
         from (num_rows, d): a batch's halo inputs are constants. By the class
         invariant, the row product on `dense` padded with zero halo rows sums
         each row's terms in the order scipy's CSC scatter does, and a halo
         term adds +0.0, which never changes a sum started at +0.0: the bits
-        are those of `(csr.T @ dense)[:num_rows]`."""
+        are those of `(csr.T @ dense)[:num_rows]`. A given `out` receives
+        them, as `_row_product`'s does; it may not share memory with the
+        row product's operand, `dense` on a square operator, the padded
+        copy on a batch."""
         shape = np.shape(dense)
         if len(shape) != 2 or shape[0] != self.num_rows:
             raise ValueError(f"operand of shape {shape} does not fit the transpose of "
                              f"an operator of shape ({self.num_rows}, {self.num_cols})")
         if self.num_cols == self.num_rows:
-            return self._row_product(dense)
+            return self._row_product(dense, out)
         padded = np.zeros((self.num_cols, shape[1]))
         padded[:self.num_rows] = dense
-        return self._row_product(padded)
+        return self._row_product(padded, out)
 
-    def _row_product(self, dense: np.ndarray) -> np.ndarray:
+    def _row_product(self, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(num_rows, d) float64 product of a (num_cols, d) array. A given
+        `out`, a float64 C-contiguous array of that shape that shares no
+        memory with `dense`, is zeroed and receives the product, bit for bit
+        what a fresh array would hold; any other raises ValueError, as the
+        kernel reads its operand while it writes."""
         shape = np.shape(dense)
         if len(shape) != 2 or shape[0] != self.num_cols:
             raise ValueError(f"operand of shape {shape} does not fit an operator "
                              f"of shape ({self.num_rows}, {self.num_cols})")
         d = shape[1]
-        # the output first, then the operand converted as scipy converts it
-        # (float32 features become float64): in the other order rest-20k's
-        # peak RSS rose by 1.9 MiB
-        out = np.zeros((self.num_rows, d))
+        if out is not None:
+            if out.shape != (self.num_rows, d) or out.dtype != np.float64 \
+                    or not out.flags.c_contiguous:  # blocks write through flat views
+                raise ValueError(f"out is {out.dtype} {out.shape}, the product writes "
+                                 f"C-contiguous float64 {(self.num_rows, d)}")
+            if np.shares_memory(out, dense):
+                raise ValueError("out shares memory with the operand the product reads")
+            out.fill(0.0)  # the kernel adds into it
+        else:
+            # the output first, then the operand converted as scipy converts it
+            # (float32 features become float64): in the other order rest-20k's
+            # peak RSS rose by 1.9 MiB
+            out = np.zeros((self.num_rows, d))
         x = np.ascontiguousarray(dense, dtype=np.float64)
         bounds = (self.row_bounds if len(self.values) * d >= SPLIT_WORK
                   else [0, self.num_rows])

@@ -12,10 +12,16 @@ masks each hidden layer on its output, h > 0, which for h = max(z, 0) is the
 same mask as z > 0 element for element (-0.0 and NaN included), so a forward
 keeps one array per hidden layer and applies bias and ReLU in place.
 
+Backward then writes into the arrays of the forward it consumes: each
+layer's dz @ W.T into the aggregation whose weight gradient it has taken,
+and each transpose product into the layer outputs whose ReLU mask it has
+taken. It allocates no n x d float array, and the gradients it returns for
+the hidden layers are those output arrays.
+
 Whole-graph dense work runs on graph.run_blocks, the block runner of the
 sparse kernel, when graph.even_blocks splits it: a layer's transform, bias
-and ReLU and the per-row terms of the loss by row block; backward's output
-mask and dz @ W.T by row block. Each block kernel below calls numpy only
+and ReLU and the per-row terms of the loss by row block; backward's
+masking and dz @ W.T by row block. Each block kernel below calls numpy only
 and writes its own rows of one output, and every block gives the bits of
 the unsplit computation. Batch-sized work stays below the split floor.
 
@@ -84,8 +90,9 @@ class LayerCache:
     """Forward intermediates needed by backward: the aggregated inputs, the
     layer outputs (whose signs give the ReLU mask), and the adjacency that
     produced them, whose rows are the targets. `zs` holds pre-activations
-    only when the forward was asked to keep them; backward never reads it,
-    and sets each entry of `aggs` to None once it has used it."""
+    only when the forward was asked to keep them; backward never reads it.
+    Backward sets each entry of `aggs` to None once it has used it, and
+    overwrites the hidden entries of `hs` with their gradients."""
 
     adj: NormAdj
     aggs: list[np.ndarray] = field(default_factory=list)
@@ -235,12 +242,16 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
     the loss gradient with respect to the in-batch rows of H^(l), the rows
     of `cache.adj`, which is all its transpose products compute.
 
-    Backward consumes the cache's aggregations, as autograd frees the
-    tensors it saved: each is released (set to None) once its weight
-    gradient is taken, so the last layer's is gone before the transpose
-    product allocates its output. A second backward on the same cache
-    raises. The layer outputs `cache.hs` are kept for callers that read
-    them afterwards; `d_out` may be the logits array itself.
+    Backward consumes the cache, as autograd frees the tensors it saved,
+    and allocates no n x d float array of its own: for each list index
+    l >= 1 it takes dw[l] from cache.aggs[l], sets that entry to None and
+    writes dz @ W_l.T into its array, then takes the ReLU mask of
+    cache.hs[l-1] and has the transpose product write d_hidden[l-1] over
+    those outputs. Afterwards every entry of cache.aggs is None,
+    d_hidden[l-1] is the array cache.hs[l-1] for l >= 1, and d_hidden[-1]
+    is d_out, which may be the logits array itself: the hidden layer
+    outputs are gone. A second backward on the same cache raises.
+    cache.aggs[0] is read, never written, so it may be a shared Â·X.
     """
     L = params.num_layers
     if len(cache.hs) != L:
@@ -254,37 +265,46 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
     dw = [np.zeros_like(w) for w in params.weights]
     db = [np.zeros_like(b) for b in params.biases]
     d_hidden: list[np.ndarray] = [None] * L
-    dh = d_out
-    spare = None  # the nb x d_l input of the last transpose product, no longer read
+    # the last layer's gradient is d_out itself; a hidden layer's masked
+    # one overwrites dz, the product array of the layer above
+    dh = dz = d_out
+    masks = None  # ((r0, r1), packed ReLU mask of those rows of dh) per row block
     for l in range(L - 1, -1, -1):
         d_hidden[l] = dh
         w = params.weights[l]
-        # the last layer's gradient is d_out itself; a hidden layer's masked
-        # one overwrites `spare`
-        h, dz = (None, dh) if l == L - 1 else (cache.hs[l], spare)
-        p = np.empty((nb, w.shape[0])) if l > 0 else None
-        if L > 1:  # a mask, a product or both
-            bounds = even_blocks(nb, w.size if l > 0 else MASK_WORK * w.shape[1])
-            run_blocks(_backward_rows,
-                       [(dh[r0:r1], None if h is None else h[r0:r1], dz[r0:r1], w,
-                         None if p is None else p[r0:r1])
-                        for r0, r1 in zip(bounds[:-1], bounds[1:])])
+        if masks is not None:
+            run_blocks(_backward_rows, [(dh[r0:r1], m, dz[r0:r1], w, None)
+                                        for (r0, r1), m in masks])
         dw[l] = cache.aggs[l].T @ dz
-        cache.aggs[l] = None
+        p, cache.aggs[l] = cache.aggs[l], None
         db[l] = dz.sum(axis=0)
         if l == 0:
             break
-        dh = cache.adj.t_matmul(p)
-        spare = p
+        bounds = even_blocks(nb, w.size)
+        run_blocks(_backward_rows, [(dz[r0:r1], None, dz[r0:r1], w, p[r0:r1])
+                                    for r0, r1 in zip(bounds[:-1], bounds[1:])])
+        # the mask, 8 columns to a byte, taken block by block on this
+        # thread: one block's bool array exists at a time, and a split pass
+        # unpacks one block per thread, never a whole n x d one
+        h = cache.hs[l - 1]
+        bounds = even_blocks(nb, MASK_WORK * h.shape[1])
+        masks = [((r0, r1), np.packbits(h[r0:r1] > 0.0, axis=1))
+                 for r0, r1 in zip(bounds[:-1], bounds[1:])]
+        dh = cache.adj.t_matmul(p, out=h)
+        dz = p
     return Grads(weights=dw, biases=db), d_hidden
 
 
-def _backward_rows(dh: np.ndarray, h: np.ndarray | None, dz: np.ndarray,
+def _backward_rows(dh: np.ndarray, mask: np.ndarray | None, dz: np.ndarray,
                    w: np.ndarray, p: np.ndarray | None) -> None:
-    """Block kernel: dz = dh masked where h > 0 (h None: dz is dh already),
+    """Block kernel: dz = dh * mask, the block's ReLU mask packed along rows
+    by np.packbits and read as 1.0 and 0.0 (mask None: dz is dh already),
     then p = dz @ w.T unless p is None."""
-    if h is not None:
-        np.multiply(dh, h > 0.0, out=dz)
+    if mask is not None:
+        # the mask cast into dz first, which needs no buffer; multiplying
+        # by the uint8 array casts it through 64 KiB per thread in flight
+        np.copyto(dz, np.unpackbits(mask, axis=1, count=dz.shape[1]))
+        np.multiply(dh, dz, out=dz)
     if p is not None:
         np.matmul(dz, w.T, out=p)
 

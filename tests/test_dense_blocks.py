@@ -257,27 +257,30 @@ def test_split_peaks_no_higher_than_unsplit(monkeypatch, own_pool):
 def test_backward_consumes_the_aggregations():
     cache, d_out, params = whole_graph_cache(n=500, dims=(4, 8, 8, 3))
     hs = list(cache.hs)
-    backward(cache, d_out, params)
+    _, d_hidden = backward(cache, d_out, params)
     assert cache.aggs == [None, None, None]
-    assert all(a is b for a, b in zip(cache.hs, hs))  # outputs stay readable
+    # the output arrays stay; the hidden ones now hold their gradients
+    assert all(a is b for a, b in zip(cache.hs, hs))
+    assert d_hidden[0] is hs[0] and d_hidden[1] is hs[1] and d_hidden[2] is d_out
     with pytest.raises(ValueError, match="released by an earlier backward"):
         backward(cache, d_out, params)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_loss_in_place_and_backward_peak_one_activation(monkeypatch, own_pool, cpus):
-    """A whole-graph step's loss and backward allocate at most one n x 64
-    array beyond the cache they consume.
+    """A whole-graph step's loss and backward allocate no n x 64 float
+    array beyond the cache they consume; the loss's masked rows are the
+    most they hold at once.
 
-    n x (32, 64, 50), in bytes per row, with the logits overwritten by their
-    gradient: layer 2 allocates p (512), releases its aggregation (-512) and
-    the transpose product allocates d_inputs (512); layer 1 overwrites p and
-    masks with h > 0, one bool per element of the blocks in flight (at most
-    64 in all). The loss, which runs first, peaks lower: its masked rows
-    (at most 50 * 8) and its index, term and unmasked-row arrays (at most
-    8 + 8 + 1). So the rise is at most 512 + 64 per row, plus the small
-    arrays (gradients, block lists). Out of place, with the last aggregation kept,
-    the same step adds 400 (the separate gradient) + 512 + 512 + 64.
+    n x (32, 64, 50), in bytes, with the logits overwritten by their
+    gradient. The loss runs first: per masked row its masked rows (50 * 8),
+    its index and term arrays (8 + 8) and its kernel's per-row vectors of
+    the blocks in flight (at most six of 8), and one bool per row of the
+    graph. Backward writes its products and its transpose output into the
+    cache's arrays; it allocates layer 1's ReLU mask, packed to 8 bytes per
+    row, and one bool block of it per thread (at most 64 per row in all).
+    When backward allocated a fresh transpose output and an unpacked mask,
+    the rise was at least 512 per row of the graph.
     """
     n = 50_000
     monkeypatch.setattr(graph, "_cpus", lambda: cpus)
@@ -297,8 +300,8 @@ def test_loss_in_place_and_backward_peak_one_activation(monkeypatch, own_pool, c
         rise = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    one = n * 64 * 8
-    assert one <= rise <= one + n * 64 + 2**20
+    count = int(np.count_nonzero(mask))
+    assert count * 50 * 8 <= rise <= count * (50 * 8 + 8 * 8) + n + 2**20
 
 
 # what the benchmark's tracer wraps (perfbench/tracer.py, `install`)

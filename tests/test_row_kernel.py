@@ -178,6 +178,43 @@ def test_shape_mismatch_raises():
         batch.t_matmul(np.ones(batch.num_rows))
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_transpose_into_out_equals_a_fresh_result(monkeypatch, own_pool, kernel_calls, cpus):
+    """t_matmul(x, out=o) overwrites whatever o held with the bits of
+    t_matmul(x), on square and halo operators, whole or split."""
+    monkeypatch.setattr(graph, "SPLIT_WORK", 0)
+    monkeypatch.setattr(graph, "_cpus", lambda: cpus)
+    rng = np.random.default_rng(12)
+    for adj in operators():
+        x = rng.normal(size=(adj.num_rows, 16))
+        before = x.copy()
+        want = adj.t_matmul(x)
+        out = np.full(want.shape, np.nan)  # a row the kernel skipped would stay NaN
+        del kernel_calls[:]
+        assert adj.t_matmul(x, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+        assert len(kernel_calls) == len(adj.row_bounds) - 1 == \
+            (graph.BLOCKS_PER_CPU * cpus if cpus > 1 else 1)
+
+
+def test_transpose_refuses_an_out_it_cannot_write():
+    ops = operators()
+    for adj in (ops[2], ops[-2]):  # a whole graph; two clusters and their halo
+        n = adj.num_rows
+        x = np.ones((n, 3))
+        for bad in (np.zeros((n, 2)), np.zeros((n + 1, 3)), np.zeros((n, 3), np.float32),
+                    np.zeros((3, n)).T, np.zeros((n, 6))[:, ::2]):
+            with pytest.raises(ValueError, match="out is"):
+                adj.t_matmul(x, out=bad)
+        assert np.all(x == 1.0)
+    x = np.ones((ops[2].num_rows, 3))
+    for alias in (x, x[:]):  # the kernel would read rows it has written
+        with pytest.raises(ValueError, match="shares memory"):
+            ops[2].t_matmul(x, out=alias)
+    assert np.all(x == 1.0)
+
+
 def test_symmetric_transpose_does_not_call_matmul(monkeypatch, own_pool):
     """A benchmark tracer wraps both methods; a nested call would count a
     transpose product twice."""

@@ -778,8 +778,8 @@ def test_batch_backward_equals_scatter_transpose_bitwise(monkeypatch, num_layers
 
     got = gradients()
     calls = []
-    monkeypatch.setattr(NormAdj, "t_matmul",
-                        lambda adj, g: calls.append(1) or csc_t_matmul(adj, g))
+    monkeypatch.setattr(NormAdj, "t_matmul", lambda adj, g, out: calls.append(1)
+                        or np.copyto(out, csc_t_matmul(adj, g)) or out)
     assert gradients() == got
     assert len(calls) == num_layers - 1
 
