@@ -15,8 +15,9 @@ keeps one array per hidden layer and applies bias and ReLU in place.
 Backward then writes into the arrays of the forward it consumes: each
 layer's dz @ W.T into the aggregation whose weight gradient it has taken,
 and each transpose product into the layer outputs whose ReLU mask it has
-taken. It allocates no n x d float array, and the gradients it returns for
-the hidden layers are those output arrays.
+taken. On the whole graph it allocates no n x d float array (a batch's
+transpose product pads its operand with the halo rows), and the gradients
+it returns for the hidden layers are those output arrays.
 
 Whole-graph dense work runs on graph.run_blocks, the block runner of the
 sparse kernel, when graph.even_blocks splits it: a layer's transform, bias
@@ -243,9 +244,9 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
     of `cache.adj`, which is all its transpose products compute.
 
     Backward consumes the cache, as autograd frees the tensors it saved,
-    and allocates no n x d float array of its own: for each list index
-    l >= 1 it takes dw[l] from cache.aggs[l], sets that entry to None and
-    writes dz @ W_l.T into its array, then takes the ReLU mask of
+    and writes into its arrays rather than allocating n x d ones: for each
+    list index l >= 1 it takes dw[l] from cache.aggs[l], sets that entry to
+    None and writes dz @ W_l.T into its array, then takes the ReLU mask of
     cache.hs[l-1] and has the transpose product write d_hidden[l-1] over
     those outputs. Afterwards every entry of cache.aggs is None,
     d_hidden[l-1] is the array cache.hs[l-1] for l >= 1, and d_hidden[-1]
