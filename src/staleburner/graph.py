@@ -7,12 +7,12 @@ norm is exactly 1 regardless of the input graph.
 Every operator product, transposes included, runs through one row kernel,
 scipy's compiled CSR multi-vector product `csr_matvecs`, called on the
 operator's own three arrays and writing straight into one output array,
-fresh or, for a transpose, one the caller hands back. `load_sparsetools` loads scipy's `_sparsetools` extension from
-its file, so no run imports `scipy` or `scipy.sparse`: that package's
-`__init__` loads about 300 modules no line here uses, and raised a 2k-node
-run's peak RSS from 41.9 to 58.5 MiB. No scipy array is built on any
-product path; `NormAdj.csr` is a view for tests, importing `scipy.sparse`
-when first read.
+fresh or, for a transpose, one the caller hands back. `load_sparsetools`
+loads scipy's `_sparsetools` extension from its file, so no run imports
+`scipy` or `scipy.sparse`: that package's `__init__` loads about 300
+modules no line here uses, and raised a 2k-node run's peak RSS from 41.9
+to 58.5 MiB. No scipy array is built on any product path; `NormAdj.csr` is
+a view for tests, importing `scipy.sparse` when first read.
 
 A product whose work nnz * width reaches SPLIT_WORK, on a process that may
 run on more than one CPU, is cut into BLOCKS_PER_CPU row blocks of about
@@ -86,6 +86,10 @@ SPLIT_WORK = 1 << 22
 # More blocks than CPUs, so that a helper whose CPU is busy elsewhere delays
 # a product by at most the block it has started, not by a share of the rows.
 BLOCKS_PER_CPU = 4
+# float64 values of one row block of `sbm_generate`'s features (1 MiB):
+# set-up draws, scales and casts the features a block at a time, so no
+# n x d_in float64 temporary exists.
+FEATURE_BLOCK_VALUES = 1 << 17
 
 _helpers: ThreadPoolExecutor | None = None  # started by the first split job
 _helpers_lock = threading.Lock()
@@ -431,6 +435,13 @@ def sbm_generate(blocks: int, nodes_per_block: int, p_in: float, p_out: float,
     Features are one-hot block indicators plus N(0, 0.5^2) noise, in d_in
     columns (0: one per block; a negative d_in raises ValueError); masks
     split 60/20/20 per class. Bitwise-deterministic in (arguments, seed).
+
+    The features are built in row blocks of about FEATURE_BLOCK_VALUES
+    values, each cast straight into one float32 (n, d_in) array. A block
+    holds an even number of rows, so every block but the last draws an even
+    number of normals: `Rng.normals` pairs its uniforms two by two, and the
+    stream and the features' bytes are those of one draw of n * d_in
+    normals scaled, shifted and cast whole.
     """
     if blocks < 1:
         raise ValueError("blocks must be >= 1")
@@ -472,9 +483,15 @@ def sbm_generate(blocks: int, nodes_per_block: int, p_in: float, p_out: float,
 
     labels = np.repeat(np.arange(blocks, dtype=np.int64), npb)
     feat_rng = Rng(derive_seed(seed, "sbm-features"))
-    features = (0.5 * feat_rng.normals(n * d_in)).reshape(n, d_in)
-    features[np.arange(n), labels % d_in] += 1.0
-    features = features.astype(np.float32)
+    features = np.empty((n, d_in), dtype=np.float32)
+    # an even row count, so every block but the last draws an even number
+    # of normals and each Box-Muller pair falls where one whole draw puts it
+    rows = max(2, FEATURE_BLOCK_VALUES // d_in // 2 * 2)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        block = (0.5 * feat_rng.normals((r1 - r0) * d_in)).reshape(r1 - r0, d_in)
+        block[np.arange(r1 - r0), labels[r0:r1] % d_in] += 1.0
+        features[r0:r1] = block  # the float32 cast astype would make
 
     mask_rng = Rng(derive_seed(seed, "sbm-masks"))
     train = np.zeros(n, dtype=bool)
@@ -518,9 +535,11 @@ def save_dataset(ds: Dataset, path: str) -> None:
     with open(os.path.join(path, "edges.tsv"), "w") as f:
         f.write("".join(map("{}\t{}\n".format, rows[once].tolist(),
                             g.col_idx[once].tolist())))
+    # one % call per row on the row's Python floats, whose "%.9g" is
+    # format(x, ".9g"); taken row by row, no n x d list of floats exists
+    line = ",".join(["%.9g"] * ds.features.shape[1]) + "\n"
     with open(os.path.join(path, "features.csv"), "w") as f:
-        for row in ds.features:
-            f.write(",".join(f"{x:.9g}" for x in row) + "\n")
+        f.writelines(line % tuple(row.tolist()) for row in ds.features)
     with open(os.path.join(path, "labels.csv"), "w") as f:
         f.write("".join(map("{}\n".format, ds.labels.tolist())))
     split = np.where(ds.train_mask, "train", np.where(ds.val_mask, "val", "test"))

@@ -185,48 +185,52 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
     """Mean softmax cross-entropy over masked rows.
 
     Gradient rows are (softmax - onehot) / mask_count on masked rows and zero
-    elsewhere. They are written to `out` when given, which may be `logits`
-    itself, as numpy's out= arguments: each block reads its own masked rows
-    and writes the same rows back, and no other block touches them, so the
-    gradient can overwrite logits that nothing reads after the loss.
+    elsewhere. They are computed where they lie: in `out` when given, which
+    may be `logits` itself, so the gradient overwrites logits that nothing
+    reads after the loss, and in a fresh array otherwise. Each block of
+    rows is copied there unless it is there already, then shifted,
+    exponentiated, normalized and turned into its gradient in place; the
+    loss allocates no array of more than one value per row.
+
+    Every row of a block is computed, an unmasked one on zeros, and zeroed
+    again afterwards, so whatever an unmasked row of `logits` holds, inf
+    and nan included, it changes neither the loss nor the gradient. Its
+    label must still be a class index.
     """
     count = int(np.count_nonzero(mask))
     if count == 0:
         raise ValueError("empty mask")
-    ids = np.flatnonzero(mask)
-    # the only work array: the masked rows, shifted, then their exponentials,
-    # then the gradient rows. Allocated here rather than per block in the
-    # threads that run them, whose own heaps would keep the freed blocks
-    # resident into backward, where a step peaks.
-    work = np.empty((count, logits.shape[1]))
     if out is None:
-        out = np.zeros_like(logits)
-    else:
-        out[~mask] = 0.0  # rows no block reads
-    terms = np.empty(count)  # log-likelihood of each masked row
-    bounds = even_blocks(count, LOGIT_WORK * logits.shape[1])
-    run_blocks(_softmax_rows, [(logits, labels, ids[a:b], count, work[a:b], terms[a:b],
-                                out) for a, b in zip(bounds[:-1], bounds[1:])])
-    return float(-terms.mean()), out
+        out = np.empty_like(logits)
+    src = None if out is logits else logits
+    terms = np.empty(len(logits))  # log-likelihood of each row
+    bounds = even_blocks(len(logits), LOGIT_WORK * logits.shape[1])
+    run_blocks(_softmax_rows, [(out[a:b], labels[a:b], mask[a:b], count, terms[a:b],
+                                None if src is None else src[a:b])
+                               for a, b in zip(bounds[:-1], bounds[1:])])
+    return float(-terms[mask].mean()), out
 
 
-def _softmax_rows(logits: np.ndarray, labels: np.ndarray, ids: np.ndarray,
-                  count: int, d: np.ndarray, terms: np.ndarray,
-                  dlogits: np.ndarray) -> None:
-    """Block kernel: the log-likelihood terms and gradient rows of rows
-    `ids`, computed in d."""
-    np.take(logits, ids, axis=0, out=d, mode="clip")  # "raise" stages a copy of d
-    y = labels[ids]
-    rows = np.arange(len(ids))
+def _softmax_rows(d: np.ndarray, labels: np.ndarray, keep: np.ndarray, count: int,
+                  terms: np.ndarray, logits: np.ndarray | None) -> None:
+    """Block kernel: the log-likelihood terms and gradient rows of a block,
+    computed in d after `logits` is copied into it (None: d holds them).
+    Rows outside `keep` are zeroed before and after: their gradient rows
+    are zero, and their terms finite and not read."""
+    if logits is not None:
+        np.copyto(d, logits)
+    drop = ~keep
+    d[drop] = 0.0
+    rows = np.arange(len(d))
     d -= d.max(axis=1, keepdims=True)
-    z_y = d[rows, y]
+    z_y = d[rows, labels]
     np.exp(d, out=d)
     denom = d.sum(axis=1)
     np.subtract(z_y, np.log(denom), out=terms)
     d /= denom[:, None]
-    d[rows, y] -= 1.0
+    d[rows, labels] -= 1.0
     d /= count
-    dlogits[ids] = d
+    d[drop] = 0.0
 
 
 @dataclass

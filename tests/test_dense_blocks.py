@@ -268,19 +268,23 @@ def test_backward_consumes_the_aggregations():
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_loss_in_place_and_backward_peak_one_activation(monkeypatch, own_pool, cpus):
-    """A whole-graph step's loss and backward allocate no n x 64 float
-    array beyond the cache they consume; the loss's masked rows are the
-    most they hold at once.
+    """A whole-graph step's loss and backward allocate no n x d float
+    array beyond the cache they consume; backward's layer 1 ReLU mask is
+    the most they hold at once.
 
     n x (32, 64, 50), in bytes, with the logits overwritten by their
-    gradient. The loss runs first: per masked row its masked rows (50 * 8),
-    its index and term arrays (8 + 8) and its kernel's per-row vectors of
-    the blocks in flight (at most six of 8), and one bool per row of the
-    graph. Backward writes its products and its transpose output into the
-    cache's arrays; it allocates layer 1's ReLU mask, packed to 8 bytes per
-    row, and one bool block of it per thread (at most 64 per row in all).
-    When backward allocated a fresh transpose output and an unpacked mask,
-    the rise was at least 512 per row of the graph.
+    gradient. The loss runs first, in the logits' own rows: per row of the
+    graph its term array (8), its kernel's per-row vectors of the blocks in
+    flight (at most six of 8) and each block's unmasked-row bool and index
+    (at most 9), then 8 per masked row for the masked terms; it rose by 41
+    per row unsplit and 17 on two CPUs. Backward writes its products and
+    its transpose output into the cache's arrays; it allocates layer 1's
+    ReLU mask, packed to 8 bytes per row, and one bool block of it per
+    thread (at most 64 per row in all): 73 per row unsplit and 25 on two
+    CPUs, which sets the rise. When the loss gathered its masked rows into
+    a work array (50 * 8 per masked row) the rise was 12.9 to 13.7 MB, and
+    when backward allocated a fresh transpose output and an unpacked mask,
+    at least 512 per row of the graph.
     """
     n = 50_000
     monkeypatch.setattr(graph, "_cpus", lambda: cpus)
@@ -300,8 +304,7 @@ def test_loss_in_place_and_backward_peak_one_activation(monkeypatch, own_pool, c
         rise = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    count = int(np.count_nonzero(mask))
-    assert count * 50 * 8 <= rise <= count * (50 * 8 + 8 * 8) + n + 2**20
+    assert n * 8 <= rise <= n * (8 + 64) + 2**20
 
 
 # what the benchmark's tracer wraps (perfbench/tracer.py, `install`)

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from staleburner.graph import (CsrGraph, Dataset, DatasetError, NormAdj, csr_fro
                                load_dataset, normalize_adjacency, save_dataset,
                                sbm_generate)
 from staleburner.partition import make_batch, partition_graph
+from staleburner.rng import Rng, derive_seed
 
 from conftest import dense_norm_adj, path_graph, star_graph
 from reference_setup import sbm_generate_reference
@@ -150,6 +152,89 @@ def test_sbm_masks_stratified():
         assert np.count_nonzero(ds.train_mask & cls) == 30
         assert np.count_nonzero(ds.val_mask & cls) == 10
         assert np.count_nonzero(ds.test_mask & cls) == 10
+
+
+def features_one_shot(labels: np.ndarray, d_in: int, seed: int) -> np.ndarray:
+    """The features as sbm_generate built them before it worked in row
+    blocks: one draw of n * d_in normals, scaled, shifted and cast whole."""
+    n = len(labels)
+    feat_rng = Rng(derive_seed(seed, "sbm-features"))
+    features = (0.5 * feat_rng.normals(n * d_in)).reshape(n, d_in)
+    features[np.arange(n), labels % d_in] += 1.0
+    return features.astype(np.float32)
+
+
+@pytest.mark.parametrize("block_values", [None, 50, 7, 1], ids=["default", "50", "7", "1"])
+@pytest.mark.parametrize("args", [
+    (3, 5, 0.5, 0.1, 3),          # n * d_in = 45, odd
+    (4, 25, 0.3, 0.05, 6),        # even d_in
+    (5, 9, 0.3, 0.05, 0),         # d_in = 0: one column per block, 5; n * d_in odd
+    (4, 2000, 0.02, 0.0005, 33),  # three default blocks of odd width
+], ids=["odd-product", "even-d_in", "d_in-0", "odd-wide"])
+def test_sbm_features_equal_one_shot_draw(monkeypatch, args, block_values):
+    """Row blocks of any size give the bytes of one whole draw: the default
+    block holds the small graphs whole and cuts the wide one in three, and
+    small blocks (two rows at 7 and 1 values) leave an odd last draw."""
+    if block_values is not None:
+        monkeypatch.setattr(graph, "FEATURE_BLOCK_VALUES", block_values)
+    blocks, npb, p_in, p_out, d_in = args
+    ds = sbm_generate(blocks, npb, p_in, p_out, d_in=d_in, seed=17)
+    want = features_one_shot(ds.labels, d_in or blocks, 17)
+    assert ds.features.dtype == np.float32 and ds.features.flags.c_contiguous
+    assert ds.features.shape == want.shape
+    assert ds.features.tobytes() == want.tobytes()
+
+
+def test_sbm_generate_peak_is_the_edge_phase():
+    """sbm_generate(20, 1000, 0.01, 1e-4, d_in=32) has 20k nodes and
+    119,578 edges (E), and its tracemalloc peak is the edge phase, 14.2 MB:
+    csr_from_edges, entered with the sampled endpoints and their two
+    concatenations live (4.3 MB), holds both directions, the edge keys,
+    their sorted copy and the kept keys (five int64 arrays of 2E, 9.6 MB)
+    and a bool mask. The feature phase holds the graph, the endpoints and
+    the float32 features (n * d_in * 4 = 2.56 MB), 8.2 MB, plus one block
+    of FEATURE_BLOCK_VALUES values: Rng.normals' words, unit floats and
+    Box-Muller arrays and the scaled block, 4.2 MB, so it peaks at 12.4 MB.
+    Built whole, the features' float64 temporaries (n * d_in * 8 = 5.12 MB
+    each) took the peak to 25.1 MB."""
+    tracemalloc.start()
+    try:
+        ds = sbm_generate(20, 1000, 0.01, 1e-4, d_in=32, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.graph.num_edges == 119_578
+    assert peak <= 16_000_000
+
+
+def features_csv_loop_reference(features: np.ndarray) -> bytes:
+    """The per-value loop save_dataset wrote features.csv with before it
+    formatted a row with one % call."""
+    return "".join(",".join(f"{x:.9g}" for x in row) + "\n" for row in features).encode()
+
+
+F32 = np.finfo(np.float32)
+
+
+@pytest.mark.parametrize("features", [
+    lambda: np.array([[-0.0, 0.0, 1.0, -1.0],
+                      [F32.smallest_subnormal, -F32.smallest_subnormal,
+                       3 * F32.smallest_subnormal, F32.smallest_normal],
+                      [F32.max, F32.min, F32.eps, F32.tiny],
+                      [1 / 3, -2.5e-30, 123456789.0, 1e-5]], dtype=np.float32),
+    lambda: sbm_generate(4, 30, 0.3, 0.03, d_in=5, seed=1).features,
+    lambda: np.zeros((3, 1), dtype=np.float32),
+], ids=["extremes", "sbm", "one-column"])
+def test_save_dataset_features_match_loop_writer(tmp_path, features):
+    x = features()
+    n = len(x)
+    ds = Dataset(graph=csr_from_edges(n, np.zeros(0, np.int64), np.zeros(0, np.int64)),
+                 features=x, labels=np.zeros(n, dtype=np.int64),
+                 train_mask=np.ones(n, dtype=bool), val_mask=np.zeros(n, dtype=bool),
+                 test_mask=np.zeros(n, dtype=bool))
+    save_dataset(ds, str(tmp_path / "d"))
+    assert (tmp_path / "d" / "features.csv").read_bytes() == features_csv_loop_reference(x)
+    assert load_dataset(str(tmp_path / "d")).features.tobytes() == x.tobytes()
 
 
 def test_dataset_round_trip(tmp_path):
