@@ -13,20 +13,23 @@ Bulk draws (`next_u64s`, and through it `normals`, `uniforms`,
 `geometric_hits` and the shuffle of a long list) produce the same stream
 with numpy. The xoshiro state
 update is linear over GF(2), so it is a 256x256 bit matrix T, and jumping the
-stream ahead by 2^k draws is one product with T^(2^k); those powers are
-built once per process by repeated squaring. A bulk draw of `count` values
-splits the stream into lanes of 2^j consecutive draws, jumps one state per
-lane to its start (lane i starts at draw i * 2^j), then steps every lane
-together with numpy uint64 arithmetic, which wraps modulo 2^64 exactly as
-the masked integers do. Every bulk draw takes this path and leaves the state
-where `count` calls to `next_u64` would. The jump table costs about 10 ms
-once per process (2-core VM), which a few tens of thousands of draws
-already repay.
+stream ahead by 2^k draws is one product with T^(2^k). Those powers, for
+k < JUMP_COUNT = 48, are constants: `tools/xoshiro_jumps.py` builds them by
+repeated squaring and the package ships them packed in `xoshiro_jumps.npy`
+(384 KiB), which is read once per process, on first use. Squaring them in
+every process cost about 10 ms and 2,200 minor page faults (2-core VM). A bulk
+draw of `count` values splits the stream into lanes of 2^j consecutive
+draws, jumps one state per lane to its start (lane i starts at draw
+i * 2^j), then steps every lane together with numpy uint64 arithmetic, which
+wraps modulo 2^64 exactly as the masked integers do. Every bulk draw takes
+this path and leaves the state where `count` calls to `next_u64` would.
+Counts of 2^48 or more, which the table cannot jump, are refused.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -99,10 +102,12 @@ def _from_bits(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(raw.view("<u8").T, dtype=np.uint64)
 
 
-# _JUMPS[k] is T^(2^k), T the 256x256 GF(2) matrix of one state update,
-# with each row packed into 32 bytes. Built on first use and extended by
-# squaring; it is a per-process table of constants.
-_JUMPS: list[np.ndarray] = []
+# T^(2^k) for k < JUMP_COUNT, T the 256x256 GF(2) matrix of one state
+# update, each row packed into 32 bytes: a (JUMP_COUNT, 256, 32) uint8 table
+# of constants that tools/xoshiro_jumps.py writes. Read on first use.
+JUMP_COUNT = 48
+JUMPS_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "xoshiro_jumps.npy")
+_JUMPS: np.ndarray | None = None
 
 
 def _gf2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -113,18 +118,34 @@ def _gf2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (prod.astype(np.int32) & 1).astype(np.uint8)
 
 
+def _jump_table() -> np.ndarray:
+    """The packed jump table, read from JUMPS_FILE once per process. A
+    missing or malformed file raises RuntimeError naming it; there is no
+    fallback to building the table here."""
+    global _JUMPS
+    if _JUMPS is None:
+        try:
+            table = np.load(JUMPS_FILE, allow_pickle=False)
+        except (OSError, ValueError) as err:
+            raise RuntimeError(f"cannot read the xoshiro256** jump table {JUMPS_FILE}: "
+                               f"{err}") from err
+        if table.dtype != np.uint8 or table.shape != (JUMP_COUNT, 256, 32):
+            raise RuntimeError(f"the xoshiro256** jump table {JUMPS_FILE} holds "
+                               f"{table.dtype} {table.shape}, not uint8 "
+                               f"{(JUMP_COUNT, 256, 32)}; rerun tools/xoshiro_jumps.py")
+        _JUMPS = table
+    return _JUMPS
+
+
 def _jump_matrix(k: int) -> np.ndarray:
-    if not _JUMPS:
-        basis = np.zeros((4, 256), dtype=np.uint64)
-        bit = np.arange(256)
-        basis[bit // 64, bit] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
-        _step_lanes(*basis, np.empty(256, dtype=np.uint64))
-        # column j: the update of basis state j
-        _JUMPS.append(np.packbits(_to_bits(basis), axis=1))
-    while len(_JUMPS) <= k:
-        last = np.unpackbits(_JUMPS[-1], axis=1)
-        _JUMPS.append(np.packbits(_gf2_product(last, last), axis=1))
-    return np.unpackbits(_JUMPS[k], axis=1)
+    """T^(2^k) as a 256x256 0/1 uint8 matrix."""
+    return np.unpackbits(_jump_table()[k], axis=1)
+
+
+def _check_count(count: int) -> None:
+    # a count of 2^JUMP_COUNT or more would need T^(2^JUMP_COUNT)
+    if not 0 <= count < 1 << JUMP_COUNT:
+        raise ValueError(f"draw count must lie in [0, 2^{JUMP_COUNT}), got {count}")
 
 
 class Rng:
@@ -209,7 +230,9 @@ class Rng:
 
     def next_u64s(self, count: int) -> np.ndarray:
         """The next `count` outputs as a uint64 array, leaving the state
-        where `count` calls to next_u64 would."""
+        where `count` calls to next_u64 would. A count below 0 or of
+        2^JUMP_COUNT or more raises ValueError."""
+        _check_count(count)
         if count == 0:
             return np.zeros(0, dtype=np.uint64)
         # lane length 2^j near sqrt(count) balances the per-step numpy calls
@@ -246,7 +269,9 @@ class Rng:
 
     def advance(self, count: int) -> None:
         """Move the stream `count` draws ahead, as `count` calls to next_u64
-        would, without producing them."""
+        would, without producing them. A count below 0 or of 2^JUMP_COUNT
+        or more raises ValueError."""
+        _check_count(count)
         bits = _to_bits(np.array(self._s, dtype=np.uint64)[:, None])
         k = 0
         while count:
@@ -263,6 +288,7 @@ class Rng:
     def normals(self, count: int) -> np.ndarray:
         """Vector of standard normals, float64. Both Box-Muller branches of
         each uniform pair are used, so the stream advances 2*ceil(count/2)."""
+        _check_count(count)
         pairs = (count + 1) // 2
         u = self._unit_floats(2 * pairs)
         u1 = np.maximum(u[0::2], _INV_2_53)
@@ -295,8 +321,11 @@ class Rng:
         which takes hits + 1 draws. The uniforms come in bulk blocks sized
         to the expected remaining hits. Once a block holds the draw that ends
         the stream, the state goes back to where that block began and
-        advances by exactly the draws used.
+        advances by exactly the draws used. A p outside (0, 1) raises
+        ValueError.
         """
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"geometric_hits needs 0 < p < 1, got {p}")
         log_q = math.log1p(-p)
         parts = []
         base = 0  # position the next draw's gap counts from

@@ -238,3 +238,33 @@ def test_shuffle_replays_a_rejected_draw(monkeypatch):
     assert calls == [size - 1]
     assert got == want
     assert a._s == b._s
+
+
+# ---------------------------------------------------------------------------
+# refused arguments: each raises before the state moves
+
+@pytest.mark.parametrize("count", [-1, -5, 1 << rng_module.JUMP_COUNT])
+@pytest.mark.parametrize("draw", ["advance", "next_u64s", "uniforms", "normals"])
+def test_counts_out_of_range_are_refused(draw, count):
+    r = Rng(61)
+    with pytest.raises(ValueError, match=f"got {count}$"):
+        getattr(r, draw)(count)
+    assert r._s == Rng(61)._s
+
+
+def test_advance_reaches_the_last_table_entry():
+    # (2^48 - 1) + 1 draws take every entry once, then entry 47 twice over
+    a, b = Rng(67), Rng(67)
+    a.advance((1 << rng_module.JUMP_COUNT) - 1)
+    a.advance(1)
+    b.advance(1 << (rng_module.JUMP_COUNT - 1))
+    b.advance(1 << (rng_module.JUMP_COUNT - 1))
+    assert a._s == b._s
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.1, float("nan")])
+def test_geometric_hits_refuses_p_outside_unit_interval(p):
+    r = Rng(71)
+    with pytest.raises(ValueError, match="0 < p < 1"):
+        r.geometric_hits(p, 100)
+    assert r._s == Rng(71)._s
