@@ -10,21 +10,30 @@ input rows beyond the in-batch targets (halo rows filled from memory) are
 constants, so its transpose products compute the targets' rows only. It
 masks each hidden layer on its output, h > 0, which for h = max(z, 0) is the
 same mask as z > 0 element for element (-0.0 and NaN included), so a forward
-keeps one array per hidden layer and applies bias and ReLU in place.
+keeps one array per hidden layer and applies bias and ReLU in place. A
+forward that a backward will read packs that mask, 8 columns to a byte, as
+soon as it has computed the output (relu_masks); backward reads the packed
+masks only, never the outputs' values.
 
-Backward then writes into the arrays of the forward it consumes: each
-layer's dz @ W.T into the aggregation whose weight gradient it has taken,
-and each transpose product into the layer outputs whose ReLU mask it has
-taken. On the whole graph it allocates no n x d float array (a batch's
-transpose product pads its operand with the halo rows), and the gradients
-it returns for the hidden layers are those output arrays.
+So a whole-graph forward may write every layer's output into one buffer
+(shared_outputs): each output overwrites the one below it, which the
+layer's aggregation has read and whose mask is packed, and the buffer ends
+up holding the logits. Backward then writes into the arrays of the forward
+it consumes: each layer's dz @ W.T into the aggregation whose weight
+gradient it has taken, and each transpose product into the output array
+below it, which by then holds only a consumed gradient. On the whole graph
+it allocates no n x d float array (a batch's transpose product pads its
+operand with the halo rows), and the gradients it returns for the hidden
+layers are those output arrays.
 
 Whole-graph dense work runs on graph.run_blocks, the block runner of the
 sparse kernel, when graph.even_blocks splits it: a layer's transform, bias
 and ReLU and the per-row terms of the loss by row block; backward's
-masking and dz @ W.T by row block. Each block kernel below calls numpy only
-and writes its own rows of one output, and every block gives the bits of
-the unsplit computation. Batch-sized work stays below the split floor.
+masking and dz @ W.T by row block. The masks are packed on the calling
+thread, in the row blocks of backward's masking pass. Each block kernel
+below calls numpy only and writes its own rows of one output, and every
+block gives the bits of the unsplit computation. Batch-sized work stays
+below the split floor.
 
 The weight gradient agg.T @ dz stays whole. Its sums run over every row of
 the graph, and a multi-threaded OpenBLAS orders them by the shape and its
@@ -89,16 +98,38 @@ def init_params(dims: list[int], seed: int) -> GcnParams:
 @dataclass
 class LayerCache:
     """Forward intermediates needed by backward: the aggregated inputs, the
-    layer outputs (whose signs give the ReLU mask), and the adjacency that
-    produced them, whose rows are the targets. `zs` holds pre-activations
-    only when the forward was asked to keep them; backward never reads it.
-    Backward sets each entry of `aggs` to None once it has used it, and
-    overwrites the hidden entries of `hs` with their gradients."""
+    layer outputs, the packed ReLU mask of each hidden output (relu_masks,
+    one entry per hidden layer), and the adjacency that produced them, whose
+    rows are the targets. `zs` holds pre-activations only when the forward
+    was asked to keep them; backward never reads it. Backward sets each
+    entry of `aggs` to None once it has used it, and overwrites the hidden
+    entries of `hs` with their gradients. A forward that packed no masks
+    leaves `masks` empty, and backward refuses its cache."""
 
     adj: NormAdj
     aggs: list[np.ndarray] = field(default_factory=list)
     zs: list[np.ndarray] = field(default_factory=list)
     hs: list[np.ndarray] = field(default_factory=list)
+    masks: list[list[tuple[tuple[int, int], np.ndarray]]] = field(default_factory=list)
+
+
+def relu_masks(h: np.ndarray) -> list[tuple[tuple[int, int], np.ndarray]]:
+    """The ReLU mask h > 0 of a hidden output as backward reads it: per row
+    block (r0, r1) of graph.even_blocks(len(h), MASK_WORK * width), those
+    rows packed 8 columns to a byte. The blocks are taken one by one on this
+    thread, so one block's bool array exists at a time, and a split masking
+    pass unpacks one block per thread, never a whole n x d one."""
+    bounds = even_blocks(len(h), MASK_WORK * h.shape[1])
+    return [((r0, r1), np.packbits(h[r0:r1] > 0.0, axis=1))
+            for r0, r1 in zip(bounds[:-1], bounds[1:])]
+
+
+def shared_outputs(n: int, dims: list[int]) -> list[np.ndarray]:
+    """full_forward's `out` for a forward a backward reads: per layer an
+    n x d_l float64 view of one buffer of n x max(d_l) values, so each
+    layer's output is written over the one below it (see full_forward)."""
+    buf = np.empty(n * max(dims[1:]))
+    return [buf[:n * d].reshape(n, d) for d in dims[1:]]
 
 
 def layer_apply(adj: NormAdj, inputs: np.ndarray | None, w: np.ndarray,
@@ -145,20 +176,25 @@ def _affine_rows(agg: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray,
 
 def full_forward(adj: NormAdj, features: np.ndarray, params: GcnParams,
                  agg: np.ndarray | None = None, keep_z: bool = True,
-                 out: list[np.ndarray] | None = None
+                 out: list[np.ndarray] | None = None, masks: bool = True
                  ) -> tuple[list[np.ndarray], LayerCache]:
     """Whole-graph forward at current parameters; the reference against which
     memory-filled runs are measured. `agg`, when given, is adj @ features
     (parameter-free) and stands in for layer 1's aggregation. With
     keep_z=False the cache holds no pre-activations, one n x d array less
-    per hidden layer; backward does not need them.
+    per hidden layer; backward does not need them. With masks=False the
+    cache holds no ReLU masks, and no backward can read it: a forward whose
+    outputs are only read packs none.
 
     `out`, one array per layer, receives the layer outputs as layer_apply's
     `out` does, and the returned list holds those same arrays, so a caller
     can hand back the outputs of a forward it no longer reads and allocate
-    no n x d output. The aggregations stay fresh per call. A list of
-    another length, an array of the wrong shape, or `out` with keep_z=True
-    raises ValueError."""
+    no n x d output. The aggregations stay fresh per call. With masks=True
+    the arrays may share one buffer (shared_outputs): each hidden output's
+    mask is packed as soon as it is computed, and the next layer writes its
+    output over it once its aggregation has read it, so only the logits
+    remain readable and backward still has all it reads. A list of another length, an array
+    of the wrong shape, or `out` with keep_z=True raises ValueError."""
     n = adj.num_rows
     if features.shape[0] != n:
         raise ValueError("feature rows != graph size")
@@ -167,14 +203,16 @@ def full_forward(adj: NormAdj, features: np.ndarray, params: GcnParams,
     cache = LayerCache(adj=adj)
     h = None if agg is not None else features.astype(np.float64, copy=False)
     for l in range(params.num_layers):
-        a, z, h = layer_apply(adj, h, params.weights[l], params.biases[l],
-                              last=(l == params.num_layers - 1),
+        last = l == params.num_layers - 1
+        a, z, h = layer_apply(adj, h, params.weights[l], params.biases[l], last=last,
                               agg=agg if l == 0 else None, keep_z=keep_z,
                               out=None if out is None else out[l])
         cache.aggs.append(a)
         if keep_z:
             cache.zs.append(z)
         cache.hs.append(h)
+        if masks and not last:
+            cache.masks.append(relu_masks(h))
     if not np.all(np.isfinite(cache.hs[-1])):
         raise FloatingPointError("non-finite output in forward pass")
     return cache.hs, cache
@@ -250,13 +288,17 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
     Backward consumes the cache, as autograd frees the tensors it saved,
     and writes into its arrays rather than allocating n x d ones: for each
     list index l >= 1 it takes dw[l] from cache.aggs[l], sets that entry to
-    None and writes dz @ W_l.T into its array, then takes the ReLU mask of
-    cache.hs[l-1] and has the transpose product write d_hidden[l-1] over
-    those outputs. Afterwards every entry of cache.aggs is None,
+    None and writes dz @ W_l.T into its array, then has the transpose
+    product write d_hidden[l-1] into cache.hs[l-1], which it masks with
+    cache.masks[l-1]. Afterwards every entry of cache.aggs is None,
     d_hidden[l-1] is the array cache.hs[l-1] for l >= 1, and d_hidden[-1]
     is d_out, which may be the logits array itself: the hidden layer
-    outputs are gone. A second backward on the same cache raises.
-    cache.aggs[0] is read, never written, so it may be a shared Â·X.
+    outputs are gone. When the forward's outputs shared one buffer
+    (shared_outputs), those arrays are views of it, each written over the
+    one whose gradient has been consumed, and only d_hidden[0] holds its
+    gradient at the end. A second backward on the same cache raises, as
+    does a cache without masks. cache.aggs[0] is read, never written, so it
+    may be a shared Â·X.
     """
     L = params.num_layers
     if len(cache.hs) != L:
@@ -264,6 +306,9 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
     if any(a is None for a in cache.aggs):
         raise ValueError("cache's aggregations were released by an earlier backward; "
                          "run a fresh forward")
+    if len(cache.masks) != L - 1:
+        raise ValueError(f"cache holds {len(cache.masks)} ReLU masks for {L - 1} hidden "
+                         "layers; run the forward with masks=True")
     if d_out.shape != cache.hs[-1].shape:
         raise ValueError(f"d_out shape {d_out.shape} != logits {cache.hs[-1].shape}")
     nb = cache.adj.num_rows
@@ -273,13 +318,12 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
     # the last layer's gradient is d_out itself; a hidden layer's masked
     # one overwrites dz, the product array of the layer above
     dh = dz = d_out
-    masks = None  # ((r0, r1), packed ReLU mask of those rows of dh) per row block
     for l in range(L - 1, -1, -1):
         d_hidden[l] = dh
         w = params.weights[l]
-        if masks is not None:
+        if l < L - 1:
             run_blocks(_backward_rows, [(dh[r0:r1], m, dz[r0:r1], w, None)
-                                        for (r0, r1), m in masks])
+                                        for (r0, r1), m in cache.masks[l]])
         dw[l] = cache.aggs[l].T @ dz
         p, cache.aggs[l] = cache.aggs[l], None
         db[l] = dz.sum(axis=0)
@@ -288,14 +332,7 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
         bounds = even_blocks(nb, w.size)
         run_blocks(_backward_rows, [(dz[r0:r1], None, dz[r0:r1], w, p[r0:r1])
                                     for r0, r1 in zip(bounds[:-1], bounds[1:])])
-        # the mask, 8 columns to a byte, taken block by block on this
-        # thread: one block's bool array exists at a time, and a split pass
-        # unpacks one block per thread, never a whole n x d one
-        h = cache.hs[l - 1]
-        bounds = even_blocks(nb, MASK_WORK * h.shape[1])
-        masks = [((r0, r1), np.packbits(h[r0:r1] > 0.0, axis=1))
-                 for r0, r1 in zip(bounds[:-1], bounds[1:])]
-        dh = cache.adj.t_matmul(p, out=h)
+        dh = cache.adj.t_matmul(p, out=cache.hs[l - 1])
         dz = p
     return Grads(weights=dw, biases=db), d_hidden
 

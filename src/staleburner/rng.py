@@ -119,13 +119,14 @@ def _gf2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _jump_table() -> np.ndarray:
-    """The packed jump table, read from JUMPS_FILE once per process. A
-    missing or malformed file raises RuntimeError naming it; there is no
+    """The packed jump table, mapped from JUMPS_FILE once per process, so
+    only the powers a process reads become resident. A missing or malformed
+    file, or one cut short, raises RuntimeError naming it; there is no
     fallback to building the table here."""
     global _JUMPS
     if _JUMPS is None:
         try:
-            table = np.load(JUMPS_FILE, allow_pickle=False)
+            table = np.load(JUMPS_FILE, allow_pickle=False, mmap_mode="r")
         except (OSError, ValueError) as err:
             raise RuntimeError(f"cannot read the xoshiro256** jump table {JUMPS_FILE}: "
                                f"{err}") from err

@@ -28,7 +28,13 @@ that opens the next step and, in full mode, the next gradient step's
 forward. The run then keeps it as stale, and the next whole-graph forward
 writes its layer outputs into the stale one's arrays, so only a run's first
 whole-graph forward allocates them; each aggregation stays a per-call
-temporary. Every mode computes Â·X once per run, so no forward aggregates X:
+temporary. In full mode that forward is the one backward reads: it packs
+each hidden layer's ReLU mask and writes every layer's output into one
+n x max(hidden, classes) buffer (model.shared_outputs), the logits over the
+spent hidden output, so a step never holds a hidden output and the logits
+at once. A forward no backward reads (memory-mode evaluate and probe
+oracle, refresh forwards, table_logits) packs no mask and keeps its hidden
+outputs. Every mode computes Â·X once per run, so no forward aggregates X:
 batch forwards gather layer 1's rows and whole-graph forwards take it whole.
 Refresh forwards stop at the last layer they push. Records and parameters
 stay bit-identical.
@@ -48,8 +54,8 @@ import numpy as np
 from .graph import Dataset, NormAdj, normalize_adjacency
 from .history import HistoryTable, persistence_stats
 from .metrics import MetricsRecord, approximation_error
-from .model import (Adam, GcnParams, LayerCache, backward,
-                    full_forward, init_params, layer_apply, loss_and_grad)
+from .model import (Adam, GcnParams, LayerCache, backward, full_forward, init_params,
+                    layer_apply, loss_and_grad, relu_masks, shared_outputs)
 from .partition import (MiniBatch, Partition, make_batch,
                         make_batch_from_nodes, schedule_epoch)
 from .rng import derive_seed
@@ -116,7 +122,8 @@ class TrainState:
 
 def batch_forward_with_history(batch: MiniBatch, ax: np.ndarray,
                                params: GcnParams, history: HistoryTable,
-                               push: bool, step: int, refresh: bool = False
+                               push: bool, step: int, refresh: bool = False,
+                               masks: bool = True
                                ) -> tuple[list[np.ndarray], LayerCache]:
     """Forward over a batch, memory rows standing in for halo neighbors.
 
@@ -128,8 +135,10 @@ def batch_forward_with_history(batch: MiniBatch, ax: np.ndarray,
     hidden layer is written back at `step`. A refresh forward (refresh=True)
     stops once it has pushed layer L-1: nothing reads its layer L, so that
     layer's pull, aggregation and transform are skipped, and the non-finite
-    check looks at layer L-1. Returns the per-layer in-batch outputs and the
-    backward cache.
+    check looks at layer L-1. With masks=True the cache also holds each
+    hidden layer's packed ReLU mask, which backward reads; a forward no
+    backward reads passes False. Returns the per-layer in-batch outputs and
+    the backward cache.
     """
     L = params.num_layers
     depth = L - 1 if refresh else L
@@ -148,6 +157,8 @@ def batch_forward_with_history(batch: MiniBatch, ax: np.ndarray,
                                 agg=ax[batch.in_batch] if l == 0 else None)
         cache.aggs.append(agg)
         cache.hs.append(h)
+        if masks and l < L - 1:
+            cache.masks.append(relu_masks(h))
         if push and l < L - 1:
             history.push(l + 1, batch.in_batch, h, step)
     if depth and not np.all(np.isfinite(h)):
@@ -190,8 +201,8 @@ def rest_refresh_pass(batches: list[MiniBatch], state: TrainState,
     step counter are untouched. Batches run in listed order, each one
     reading the rows the previous ones pushed."""
     for batch in batches:
-        batch_forward_with_history(batch, ax, state.params, state.history,
-                                   push=True, step=state.model_step, refresh=True)
+        batch_forward_with_history(batch, ax, state.params, state.history, push=True,
+                                   step=state.model_step, refresh=True, masks=False)
 
 
 def rest_is_refresh_selection(grad_batch: MiniBatch,
@@ -234,7 +245,7 @@ def table_logits(batches: list[MiniBatch], ax: np.ndarray, params: GcnParams,
     for batch in batches:
         # step is read only by pushes
         hs, _ = batch_forward_with_history(batch, ax, params, history,
-                                           push=False, step=0)
+                                           push=False, step=0, masks=False)
         logits[batch.in_batch] = hs[-1]
     return logits
 
@@ -349,18 +360,21 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     ax = g_norm.matmul(ds.features)
     held: LayerCache | None = None  # the last whole-graph forward
     stale = True  # held is missing or ran at parameters that have since moved
+    # full mode's run-long output buffer; its pages are touched by the first forward
+    outs = None if memory else shared_outputs(n, dims)
 
     def whole_forward() -> LayerCache:
         """The whole-graph forward at the current parameters, run once per
         version: evaluate's is the next probe's oracle and, in full mode, the
         next gradient forward, whose backward and loss consume the
-        intermediates kept only in that mode. Never two at once. A stale
-        forward's layer outputs are overwritten by the next, so only the
-        run's first forward allocates them; the aggregations stay per call."""
+        intermediates and masks kept only in that mode, where every layer's
+        output is in `outs`. Never two at once. A stale forward's layer
+        outputs are overwritten by the next, so only the run's first forward
+        allocates them; the aggregations stay per call."""
         nonlocal held, stale
         if stale:
-            hs, cache = full_forward(g_norm, ds.features, state.params, agg=ax,
-                                     keep_z=False, out=None if held is None else held.hs)
+            hs, cache = full_forward(g_norm, ds.features, state.params, agg=ax, keep_z=False,
+                                     out=outs if held is None else held.hs, masks=not memory)
             held = LayerCache(adj=g_norm, hs=hs) if memory else cache
             stale = False
         return held

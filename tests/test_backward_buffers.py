@@ -1,7 +1,9 @@
 """Backward writes into the arrays of the forward it consumes. Its gradients
 must equal, byte for byte, those of the out-of-place backward it replaced,
 which is kept below as the oracle, on whole-graph and halo-batch caches,
-split or not, with +0.0 and -0.0 at the ReLU kink.
+split or not, with +0.0 and -0.0 at the ReLU kink. A full-mode step whose
+forward writes every layer's output into one buffer must give the bytes of
+the step on fresh output arrays, and peak lower by the logits.
 """
 
 from __future__ import annotations
@@ -9,15 +11,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from staleburner import graph
+from staleburner import graph, model
 from staleburner.graph import even_blocks, normalize_adjacency, run_blocks, sbm_generate
 from staleburner.history import HistoryTable
 from staleburner.model import (MASK_WORK, Adam, GcnParams, Grads, LayerCache, backward,
-                               full_forward, init_params, loss_and_grad)
+                               full_forward, init_params, loss_and_grad, shared_outputs)
 from staleburner.partition import make_batch, partition_graph
 from staleburner.trainer import TrainState, batch_forward_with_history, rest_refresh_pass
 
-from test_model import zero_kink_instance
+from test_model import traced_peak, zero_kink_instance
 
 
 def reference_backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
@@ -71,9 +73,10 @@ def _reference_rows(dh: np.ndarray, h: np.ndarray | None, dz: np.ndarray,
         np.matmul(dz, w.T, out=p)
 
 
-def check_against_reference(cache: LayerCache, d_out: np.ndarray, params: GcnParams) -> None:
+def check_against_reference(cache: LayerCache, d_out: np.ndarray, params: GcnParams) -> Grads:
     """backward(cache, d_out) gives the oracle's bytes on a copy of the
-    cache, and leaves the cache as its contract says."""
+    cache, and leaves the cache as its contract says. Returns backward's
+    parameter gradients."""
     L = params.num_layers
     copy = LayerCache(adj=cache.adj, aggs=[a.copy() for a in cache.aggs],
                       hs=[h.copy() for h in cache.hs])
@@ -93,6 +96,7 @@ def check_against_reference(cache: LayerCache, d_out: np.ndarray, params: GcnPar
     for l in range(1, L):
         assert got_d[l - 1] is cache.hs[l - 1]
     assert got_d[-1] is d_out
+    return got_g
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +159,104 @@ def test_zero_kink_backward_equals_reference(keep_z):
         assert np.all(h[:, :2] == 0.0)
     _, dlogits = loss_and_grad(hs[-1], ds.labels, ds.train_mask)
     check_against_reference(cache, dlogits, params)
+
+
+def test_backward_refuses_a_cache_without_masks():
+    ds, adj, params = zero_kink_instance()
+    hs, cache = full_forward(adj, ds.features, params, masks=False)
+    assert cache.masks == [] and params.num_layers > 1
+    with pytest.raises(ValueError, match="masks=True"):
+        backward(cache, np.zeros_like(hs[-1]), params)
+
+
+def full_mode_steps(ds, ax: np.ndarray, params: GcnParams, out: list[np.ndarray] | None,
+                    steps: int = 2) -> tuple[list[list[bytes]], bytes]:
+    """`steps` Adam steps from a copy of `params` as a full-mode run takes
+    them: a whole-graph forward from Â·X without pre-activations, into `out`
+    when given, the loss over the logits in place, backward, Adam. Returns
+    each step's parameter gradients and the final parameters, as bytes. On
+    fresh outputs (out None) each backward is checked against the oracle."""
+    adj = normalize_adjacency(ds.graph)
+    params = params.copy()
+    adam = Adam(lr=0.01)
+    got = []
+    for _ in range(steps):
+        hs, cache = full_forward(adj, ds.features, params, agg=ax, keep_z=False, out=out)
+        _, dlogits = loss_and_grad(hs[-1], ds.labels, ds.train_mask, out=hs[-1])
+        if out is None:
+            grads = check_against_reference(cache, dlogits, params)
+        else:
+            assert all(h is o for h, o in zip(hs, out))
+            grads, d_hidden = backward(cache, dlogits, params)
+            assert cache.aggs == [None] * params.num_layers
+            assert d_hidden[0] is out[0]  # the one gradient the buffer still holds
+        adam.step(params, grads)
+        got.append([g.tobytes() for g in grads.weights + grads.biases])
+    return got, params.flat().tobytes()
+
+
+@pytest.fixture(scope="module")
+def sbm_6_classes():
+    ds = sbm_generate(6, 500, 0.02, 5e-4, d_in=8, seed=11)
+    return ds, normalize_adjacency(ds.graph).matmul(ds.features)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("case", ["2-layer", "3-layer", "classes-wider"])
+def test_shared_buffer_steps_equal_fresh_outputs(monkeypatch, request, case, cpus):
+    """Two full-mode steps through one output buffer give the bytes of two
+    on fresh output arrays. The buffer is n x max(hidden, classes) and
+    holds every layer's output: 20 classes under 64 hidden units on 20k
+    nodes, 6 above 4 on 3k, where the split floor is lowered so that, on
+    two CPUs, every dense job of the step and every mask is split."""
+    if case == "classes-wider":
+        ds, ax = request.getfixturevalue("sbm_6_classes")
+        monkeypatch.setattr(graph, "SPLIT_WORK", 64)
+        hidden = [4]
+    else:
+        ds, ax = request.getfixturevalue("sbm_20k")
+        hidden = [64] if case == "2-layer" else [64, 64]
+    monkeypatch.setattr(graph, "_cpus", lambda: cpus)
+    blocks = []
+    real = model.run_blocks
+
+    def counting(kernel, jobs):
+        blocks.append(len(jobs))
+        return real(kernel, jobs)
+
+    monkeypatch.setattr(model, "run_blocks", counting)
+    dims = [ds.num_features] + hidden + [ds.num_classes]
+    params = init_params(dims, seed=len(hidden))
+    n = ds.graph.num_nodes
+    out = shared_outputs(n, dims)
+    assert out[0].base.nbytes == n * max(dims[1:]) * 8
+    assert all(o.base is out[0].base for o in out)
+    want = full_mode_steps(ds, ax, params, None)
+    del blocks[:]
+    assert full_mode_steps(ds, ax, params, out) == want
+    assert blocks and all((b > 1) == (cpus > 1) for b in blocks)
+    assert all((len(even_blocks(n, MASK_WORK * d)) > 2) == (cpus > 1) for d in hidden)
+
+
+def test_shared_buffer_step_peaks_lower_by_the_logits(sbm_20k):
+    """The peak of a full-mode forward, loss and backward on the shared
+    buffer, counting the buffer's bytes, sits at least one n x classes
+    float64 array below that of a step on fresh outputs: the logits take the
+    spent hidden output's place. Both steps pack their ReLU masks inside the
+    measurement. A run allocates its buffer once, so it is built outside."""
+    ds, ax = sbm_20k
+    adj = normalize_adjacency(ds.graph)
+    dims = [ds.num_features, 64, ds.num_classes]
+    params = init_params(dims, seed=5)
+    n = ds.graph.num_nodes
+
+    def step(out):
+        hs, cache = full_forward(adj, ds.features, params, agg=ax, keep_z=False, out=out)
+        _, dlogits = loss_and_grad(hs[-1], ds.labels, ds.train_mask, out=hs[-1])
+        backward(cache, dlogits, params)
+
+    step(None)  # lazy set-up and helper threads out of the measurement
+    out = shared_outputs(n, dims)
+    fresh = traced_peak(lambda: step(None))
+    shared = traced_peak(lambda: step(out)) + out[0].base.nbytes
+    assert fresh - shared >= n * ds.num_classes * 8

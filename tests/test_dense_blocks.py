@@ -18,7 +18,8 @@ from scipy.sparse import _sparsetools
 from staleburner import graph, history, model, partition, rng, trainer
 from staleburner.graph import NormAdj, even_blocks, sbm_generate
 from staleburner.metrics import format_record
-from staleburner.model import LayerCache, backward, init_params, layer_apply, loss_and_grad
+from staleburner.model import (LayerCache, backward, init_params, layer_apply, loss_and_grad,
+                               relu_masks)
 from staleburner.partition import partition_graph
 from staleburner.trainer import TrainConfig, run_training
 
@@ -123,8 +124,9 @@ def test_loss_blocks_equal_unsplit(monkeypatch, own_pool, dense_jobs):
 
 def whole_graph_cache(n: int = 50_000, dims=(32, 64, 50), seed: int = 60):
     """A whole-graph cache with random aggregations and ReLU outputs (a
-    quarter of them exact zeros) over the identity operator, the gradient of
-    its logits, and its parameters."""
+    quarter of them exact zeros) over the identity operator, their masks
+    packed as the forwards pack them, the gradient of its logits, and its
+    parameters."""
     gen = np.random.default_rng(seed)
     ids = np.arange(n, dtype=np.int64)
     adj = NormAdj(num_rows=n, num_cols=n, row_ptr=np.arange(n + 1, dtype=np.int64),
@@ -136,6 +138,7 @@ def whole_graph_cache(n: int = 50_000, dims=(32, 64, 50), seed: int = 60):
         h = gen.normal(size=(n, d))
         if l < len(dims) - 2:
             np.maximum(h - 0.7, 0.0, out=h)
+            cache.masks.append(relu_masks(h))
         cache.hs.append(h)
     d_out = gen.normal(size=(n, dims[-1]))
     return cache, d_out, params
@@ -269,19 +272,20 @@ def test_backward_consumes_the_aggregations():
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_loss_in_place_and_backward_peak_one_activation(monkeypatch, own_pool, cpus):
     """A whole-graph step's loss and backward allocate no n x d float
-    array beyond the cache they consume; backward's layer 1 ReLU mask is
-    the most they hold at once.
+    array beyond the cache they consume; one unpacked block of a ReLU mask
+    per thread is the most they hold at once.
 
     n x (32, 64, 50), in bytes, with the logits overwritten by their
     gradient. The loss runs first, in the logits' own rows: per row of the
     graph its term array (8), its kernel's per-row vectors of the blocks in
     flight (at most six of 8) and each block's unmasked-row bool and index
     (at most 9), then 8 per masked row for the masked terms; it rose by 41
-    per row unsplit and 17 on two CPUs. Backward writes its products and
-    its transpose output into the cache's arrays; it allocates layer 1's
-    ReLU mask, packed to 8 bytes per row, and one bool block of it per
-    thread (at most 64 per row in all): 73 per row unsplit and 25 on two
-    CPUs, which sets the rise. When the loss gathered its masked rows into
+    per row unsplit and 16 on two CPUs. Backward writes its products and
+    its transpose output into the cache's arrays and reads the masks the
+    forward packed; it allocates one uint8 block of a mask per thread as it
+    unpacks it (at most 64 per row in all): 65 per row unsplit and 9 on two
+    CPUs. While backward packed layer 1's mask itself (8 per row more) the
+    rise was 73 and 25 per row. When the loss gathered its masked rows into
     a work array (50 * 8 per masked row) the rise was 12.9 to 13.7 MB, and
     when backward allocated a fresh transpose output and an unpacked mask,
     at least 512 per row of the graph.

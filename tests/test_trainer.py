@@ -571,13 +571,15 @@ def test_full_mode_shares_evaluate_forward_with_next_step(monkeypatch):
 def test_whole_graph_forwards_reuse_the_first_forwards_arrays(monkeypatch, mode, probe_every):
     ds = small_dataset(seed=19)
     part = partition_graph(ds.graph, 4, seed=2)
-    addresses, kept = [], []
+    addresses, kept, shared, masks = [], [], [], []
     real = trainer.full_forward
 
     def full(*a, **kw):
         hs, cache = real(*a, **kw)
         addresses.append([h.ctypes.data for h in hs])
         kept.append(list(hs))  # so a freed array's address cannot come back
+        shared.append(all(np.shares_memory(h, hs[-1]) for h in hs))
+        masks.append(len(cache.masks))
         return hs, cache
 
     monkeypatch.setattr(trainer, "full_forward", full)
@@ -586,6 +588,29 @@ def test_whole_graph_forwards_reuse_the_first_forwards_arrays(monkeypatch, mode,
     assert len(addresses) >= len(records) > 1
     # only the run's first forward allocates its layer outputs
     assert all(a == addresses[0] for a in addresses[1:])
+    # full mode's forwards feed its backward: every layer's output in one
+    # buffer, both hidden masks packed. Other modes' only feed reads
+    assert shared == [mode == "full"] * len(shared)
+    assert masks == [2 if mode == "full" else 0] * len(masks)
+
+
+def test_only_batch_forwards_that_feed_backward_pack_masks(monkeypatch):
+    ds = small_dataset(seed=19)
+    part = partition_graph(ds.graph, 4, seed=2)
+    packed = []
+    real = trainer.relu_masks
+
+    def counting(h):
+        packed.append(len(h))
+        return real(h)
+
+    monkeypatch.setattr(trainer, "relu_masks", counting)
+    records, _ = run_training(TrainConfig(mode="rest", refresh_per_step=2, epochs=2, hidden=4,
+                                          seed=1, num_layers=3, probe_every=1,
+                                          warmup_refresh=True), ds, part)
+    # two hidden layers of each gradient step's batch forward; the warm-up,
+    # the refresh forwards and the probe's table_logits pack none
+    assert len(packed) == 2 * len(records) > 0
 
 
 def test_full_forward_refuses_a_bad_out():

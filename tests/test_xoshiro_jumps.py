@@ -63,7 +63,9 @@ def test_tool_regenerates_the_file_byte_for_byte(tmp_path):
 
 
 @pytest.mark.parametrize("content", [None, b"not a numpy file",
-                                     np.zeros((3, 256, 32), dtype=np.uint8)])
+                                     np.zeros((3, 256, 32), dtype=np.uint8),
+                                     pytest.param(Path(rng_module.JUMPS_FILE).read_bytes()
+                                                  [:100_000], id="cut short")])
 def test_missing_or_malformed_table_fails_naming_the_file(tmp_path, monkeypatch, content):
     path = tmp_path / "xoshiro_jumps.npy"
     if isinstance(content, bytes):
