@@ -74,7 +74,7 @@ def _scipy_dir() -> str:
 
 
 _sparsetools = load_sparsetools(_scipy_dir())
-csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
+csr_matvecs = _sparsetools.csr_matvecs
 
 # nnz * width at which a sparse product is split into row blocks, and the
 # least work of every block of a split dense job (even_blocks). On a 2-core
@@ -316,11 +316,11 @@ class NormAdj:
 
     def row_norms(self) -> np.ndarray:
         """Per-row Euclidean norm of the operator rows: the squares summed
-        in CSR order by the kernel call `csr.power(2) @ ones` makes, which
-        on column-sorted rows gives its bits."""
+        in CSR order by the row kernel on one vector of ones, the order of
+        `csr.power(2) @ ones`, which on column-sorted rows gives its bits."""
         sums = np.zeros(self.num_rows)
-        csr_matvec(self.num_rows, self.num_cols, self.row_ptr, self.col_idx,
-                   self.values ** 2, np.ones(self.num_cols), sums)
+        csr_matvecs(self.num_rows, self.num_cols, 1, self.row_ptr, self.col_idx,
+                    self.values ** 2, np.ones(self.num_cols), sums)
         return np.sqrt(sums)
 
     def to_dense(self) -> np.ndarray:

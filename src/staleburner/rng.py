@@ -5,42 +5,44 @@ tie-breaks, epoch schedules, weight init) flows from a single root seed
 through named substreams, so identical inputs reproduce identical results
 bit for bit, independent of numpy version or platform.
 
-Generator: xoshiro256** with its four state words filled from splitmix64, the
-combination recommended by the generators' reference implementations. Single
-draws use plain Python integers masked to 64 bits.
+Generator: SplitMix64 (Steele, Lea and Flood, OOPSLA 2014), which passes
+BigCrush. Its state is one 64-bit integer s, and a step adds the odd
+constant GOLDEN modulo 2^64 and returns mix(s), mix being `splitmix64`'s
+output function. It is therefore counter-based: draw i (i = 1, 2, ...) of
+the stream seeded with s is mix(s + i * GOLDEN mod 2^64). Single draws use
+plain Python integers masked to 64 bits. Bulk draws (`next_u64s`, and
+through it `normals`, `uniforms`, `geometric_hits` and `shuffle`) compute
+the same values for i = 1 .. count with a few numpy uint64 array
+operations, which wrap modulo 2^64 exactly as the masked integers do, and
+`advance` is one addition. The package uses it for that: one value at a
+time or a block at a time gives the same stream, a bulk draw needs no
+set-up, a jump of any length is one addition, and `derive_seed` already
+mixes with the same function. numpy's own bit generators are not used: importing
+`numpy.random` alone raised a process's peak RSS from 26.9 to 33.1 MiB
+(Python 3.11, numpy 2.4).
 
-Bulk draws (`next_u64s`, and through it `normals`, `uniforms`,
-`geometric_hits` and the shuffle of a long list) produce the same stream
-with numpy. The xoshiro state
-update is linear over GF(2), so it is a 256x256 bit matrix T, and jumping the
-stream ahead by 2^k draws is one product with T^(2^k). Those powers, for
-k < JUMP_COUNT = 48, are constants: `tools/xoshiro_jumps.py` builds them by
-repeated squaring and the package ships them packed in `xoshiro_jumps.npy`
-(384 KiB), which is read once per process, on first use. Squaring them in
-every process cost about 10 ms and 2,200 minor page faults (2-core VM). A bulk
-draw of `count` values splits the stream into lanes of 2^j consecutive
-draws, jumps one state per lane to its start (lane i starts at draw
-i * 2^j), then steps every lane together with numpy uint64 arithmetic, which
-wraps modulo 2^64 exactly as the masked integers do. Every bulk draw takes
-this path and leaves the state where `count` calls to `next_u64` would.
-Counts of 2^48 or more, which the table cannot jump, are refused.
+Since GOLDEN is odd, s + i * GOLDEN visits every 64-bit value once per
+2^64 draws, so each stream has period 2^64, and every stream is a window on
+that one cycle: the stream seeded with s2 starts (s2 - s1) * GOLDEN^-1 mod
+2^64 draws after the one seeded with s1, and the two overlap only if one of
+them draws that far. `tests/test_rng.py` checks that the seeds the CLI, the
+benchmark workloads and `sbm_generate` derive for roots 0-19 lie pairwise
+at least 2^40 draws apart in both directions; the largest draw of the
+benchmark workloads, full-50k's features, takes 1.6 million values.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
 
-# shuffles of at most this many items draw one value at a time: up to about
-# 250 items the scalar draws cost no more than next_u64s' lane set-up
-# (2-core VM: 250 against 300 us at 200 items, 1.9 against 0.54 ms at 1000)
-_SHUFFLE_SCALAR_MAX = 256
 _HIT_MARGIN = 5.0   # geometric_hits blocks hold this many standard deviations of spare draws
 
 
@@ -48,8 +50,8 @@ def splitmix64(state: int) -> tuple[int, int]:
     """Advance a splitmix64 state; returns (new_state, output)."""
     state = (state + _GOLDEN) & _MASK64
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return state, z ^ (z >> 31)
 
 
@@ -70,114 +72,23 @@ def derive_seed(root: int, *path: int | str) -> int:
     return out
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
-def _step_lanes(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, s3: np.ndarray,
-                t: np.ndarray) -> None:
-    """One xoshiro256** state update of every lane, in place; t is a work buffer."""
-    np.left_shift(s1, 17, out=t)
-    s2 ^= s0
-    s3 ^= s1
-    s1 ^= s2
-    s0 ^= s3
-    s2 ^= t
-    np.right_shift(s3, 19, out=t)
-    s3 <<= 45
-    s3 |= t
-
-
-def _to_bits(words: np.ndarray) -> np.ndarray:
-    """(4, L) uint64 states -> (256, L) uint8 0/1 bit columns; row 64*w + b
-    holds bit b of word w."""
-    raw = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
-    return np.ascontiguousarray(np.unpackbits(raw, axis=1, bitorder="little").T)
-
-
-def _from_bits(bits: np.ndarray) -> np.ndarray:
-    """Inverse of _to_bits: (256, L) 0/1 -> (4, L) uint64."""
-    raw = np.packbits(np.ascontiguousarray(bits.T, dtype=np.uint8), axis=1,
-                      bitorder="little")
-    return np.ascontiguousarray(raw.view("<u8").T, dtype=np.uint64)
-
-
-# T^(2^k) for k < JUMP_COUNT, T the 256x256 GF(2) matrix of one state
-# update, each row packed into 32 bytes: a (JUMP_COUNT, 256, 32) uint8 table
-# of constants that tools/xoshiro_jumps.py writes. Read on first use.
-JUMP_COUNT = 48
-JUMPS_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "xoshiro_jumps.npy")
-_JUMPS: np.ndarray | None = None
-
-
-def _gf2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over GF(2) for 0/1 matrices, as uint8. The product runs in
-    float32 BLAS: each entry sums at most 256 ones, which float32 holds
-    exactly, before it is reduced mod 2."""
-    prod = np.matmul(a.astype(np.float32), b.astype(np.float32))
-    return (prod.astype(np.int32) & 1).astype(np.uint8)
-
-
-def _jump_table() -> np.ndarray:
-    """The packed jump table, mapped from JUMPS_FILE once per process, so
-    only the powers a process reads become resident. A missing or malformed
-    file, or one cut short, raises RuntimeError naming it; there is no
-    fallback to building the table here."""
-    global _JUMPS
-    if _JUMPS is None:
-        try:
-            table = np.load(JUMPS_FILE, allow_pickle=False, mmap_mode="r")
-        except (OSError, ValueError) as err:
-            raise RuntimeError(f"cannot read the xoshiro256** jump table {JUMPS_FILE}: "
-                               f"{err}") from err
-        if table.dtype != np.uint8 or table.shape != (JUMP_COUNT, 256, 32):
-            raise RuntimeError(f"the xoshiro256** jump table {JUMPS_FILE} holds "
-                               f"{table.dtype} {table.shape}, not uint8 "
-                               f"{(JUMP_COUNT, 256, 32)}; rerun tools/xoshiro_jumps.py")
-        _JUMPS = table
-    return _JUMPS
-
-
-def _jump_matrix(k: int) -> np.ndarray:
-    """T^(2^k) as a 256x256 0/1 uint8 matrix."""
-    return np.unpackbits(_jump_table()[k], axis=1)
-
-
 def _check_count(count: int) -> None:
-    # a count of 2^JUMP_COUNT or more would need T^(2^JUMP_COUNT)
-    if not 0 <= count < 1 << JUMP_COUNT:
-        raise ValueError(f"draw count must lie in [0, 2^{JUMP_COUNT}), got {count}")
+    if count < 0:
+        raise ValueError(f"draw count must be >= 0, got {count}")
 
 
 class Rng:
-    """xoshiro256** stream seeded via splitmix64."""
+    """SplitMix64 stream: draw i (i = 1, 2, ...) from seed s is
+    mix(s + i * GOLDEN mod 2^64), where mix is splitmix64's output function."""
 
     __slots__ = ("_s",)
 
     def __init__(self, seed: int):
-        state = seed & _MASK64
-        s = []
-        for _ in range(4):
-            state, out = splitmix64(state)
-            s.append(out)
-        # all-zero state is invalid for xoshiro; splitmix64 output of four
-        # consecutive draws is never all zero, but guard anyway
-        if not any(s):
-            s[0] = _GOLDEN
-        self._s = s
+        self._s = seed & _MASK64
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        self._s, out = splitmix64(self._s)
+        return out
 
     def random(self) -> float:
         """Uniform float64 in [0, 1) with 53 random bits."""
@@ -197,15 +108,13 @@ class Rng:
         """In-place Fisher-Yates shuffle: position i, from the last down to
         1, swaps with position below(i + 1).
 
-        Above _SHUFFLE_SCALAR_MAX items the len - 1 draws come from one
-        next_u64s call and below()'s rejection bound is tested at every
-        position at once. A draw below(m) would reject has probability
-        under m / 2^64; if one occurs, the state goes back and the scalar
-        loop runs. Either way the swaps and the state after are those of
-        the scalar loop."""
+        The len - 1 draws come from one next_u64s call and below()'s
+        rejection bound is tested at every position at once. A draw below(m)
+        would reject has probability under m / 2^64; if one occurs, the
+        state goes back and the scalar loop runs. Either way the swaps and
+        the state after are those of the scalar loop."""
         n = len(items)
-        if n <= _SHUFFLE_SCALAR_MAX:
-            self._shuffle_scalar(items)
+        if n < 2:
             return
         saved = self._s
         x = self.next_u64s(n - 1)
@@ -231,56 +140,29 @@ class Rng:
 
     def next_u64s(self, count: int) -> np.ndarray:
         """The next `count` outputs as a uint64 array, leaving the state
-        where `count` calls to next_u64 would. A count below 0 or of
-        2^JUMP_COUNT or more raises ValueError."""
+        where `count` calls to next_u64 would. A count below 0 raises
+        ValueError."""
         _check_count(count)
-        if count == 0:
-            return np.zeros(0, dtype=np.uint64)
-        # lane length 2^j near sqrt(count) balances the per-step numpy calls
-        # (one per lane step) against the jump products (one column per lane)
-        log_len = (count.bit_length() + 1) // 2
-        lane_len = 1 << log_len
-        lanes = -(-count // lane_len)
-        # lane i starts 2^log_len * i draws ahead: double the lane set with
-        # jumps of 2^(log_len + d) draws
-        start = _to_bits(np.array(self._s, dtype=np.uint64)[:, None])
-        d = 0
-        while start.shape[1] < lanes:
-            take = min(start.shape[1], lanes - start.shape[1])
-            jumped = _gf2_product(_jump_matrix(log_len + d), start[:, :take])
-            start = np.concatenate([start, jumped], axis=1)
-            d += 1
-        s0, s1, s2, s3 = _from_bits(start)
-        t = np.empty(lanes, dtype=np.uint64)
-        seen = np.empty((lane_len, lanes), dtype=np.uint64)  # s1 before each step
-        last_steps = count - (lanes - 1) * lane_len  # draws taken from the last lane
-        for j in range(lane_len):
-            seen[j] = s1
-            _step_lanes(s0, s1, s2, s3, t)
-            if j + 1 == last_steps:
-                final = [int(s0[-1]), int(s1[-1]), int(s2[-1]), int(s3[-1])]
-        self._s = final
-        # the output function rotl(s1 * 5, 7) * 9 on every recorded s1
-        seen *= np.uint64(5)
-        rot = seen >> np.uint64(57)
-        seen <<= np.uint64(7)
-        seen |= rot
-        seen *= np.uint64(9)
-        return seen.T.reshape(-1)[:count]
+        # uint64 arithmetic wraps modulo 2^64 exactly as the masked integers do
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._s)
+        t = z >> np.uint64(30)
+        z ^= t
+        z *= np.uint64(_MIX1)
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= np.uint64(_MIX2)
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+        self.advance(count)
+        return z
 
     def advance(self, count: int) -> None:
         """Move the stream `count` draws ahead, as `count` calls to next_u64
-        would, without producing them. A count below 0 or of 2^JUMP_COUNT
-        or more raises ValueError."""
+        would, without producing them. A count below 0 raises ValueError."""
         _check_count(count)
-        bits = _to_bits(np.array(self._s, dtype=np.uint64)[:, None])
-        k = 0
-        while count:
-            if count & 1:
-                bits = _gf2_product(_jump_matrix(k), bits)
-            count >>= 1
-            k += 1
-        self._s = [int(w) for w in _from_bits(bits)[:, 0]]
+        self._s = (self._s + count * _GOLDEN) & _MASK64
 
     def _unit_floats(self, count: int) -> np.ndarray:
         """next_u64s mapped to [0, 1) exactly as random() maps one draw."""

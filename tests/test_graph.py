@@ -187,23 +187,23 @@ def test_sbm_features_equal_one_shot_draw(monkeypatch, args, block_values):
 
 def test_sbm_generate_peak_is_the_edge_phase():
     """sbm_generate(20, 1000, 0.01, 1e-4, d_in=32) has 20k nodes and
-    119,578 edges (E), and its tracemalloc peak is the edge phase, 14.2 MB:
+    119,346 edges (E), and its tracemalloc peak is the edge phase, 14.0 MB:
     csr_from_edges, entered with the sampled endpoints and their two
-    concatenations live (4.3 MB), holds both directions, the edge keys,
-    their sorted copy and the kept keys (five int64 arrays of 2E, 9.6 MB)
+    concatenations live (4.1 MB), holds both directions, the edge keys,
+    their sorted copy and the kept keys (five int64 arrays of 2E, 9.5 MB)
     and a bool mask. The feature phase holds the graph, the endpoints and
-    the float32 features (n * d_in * 4 = 2.56 MB), 8.2 MB, plus one block
+    the float32 features (n * d_in * 4 = 2.56 MB), 7.0 MB, plus one block
     of FEATURE_BLOCK_VALUES values: Rng.normals' words, unit floats and
-    Box-Muller arrays and the scaled block, 4.2 MB, so it peaks at 12.4 MB.
+    Box-Muller arrays and the scaled block, 5.2 MB, so it peaks at 12.3 MB.
     Built whole, the features' float64 temporaries (n * d_in * 8 = 5.12 MB
-    each) took the peak to 25.1 MB."""
+    each) took the peak to 27.5 MB."""
     tracemalloc.start()
     try:
         ds = sbm_generate(20, 1000, 0.01, 1e-4, d_in=32, seed=7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ds.graph.num_edges == 119_578
+    assert ds.graph.num_edges == 119_346
     assert peak <= 16_000_000
 
 
@@ -518,7 +518,7 @@ SBM_GRID = [
     (5, 40, 0.3, 0.01, 7),        # d_in != blocks
     (1, 50, 0.5, 0.0, 3),         # one block, no cross range at all
     (10, 200, 0.10, 0.002, 10),   # the sweep-2k graph
-    (4, 2000, 0.02, 0.0005, 9),   # many lanes for both edges and features
+    (4, 2000, 0.02, 0.0005, 9),   # large bulk draws for both edges and features
 ]
 
 
