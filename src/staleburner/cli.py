@@ -203,7 +203,8 @@ def _cmd_eval(args) -> int:
             f"checkpoint outputs {params.dims[-1]} classes, dataset has {ds.num_classes}")
     g_norm = normalize_adjacency(ds.graph)
     acc_tr, acc_val, acc_te = evaluate(
-        ds, lambda: full_forward(g_norm, ds.features, params, keep_z=False, masks=False)[1])
+        ds, lambda: full_forward(g_norm, ds.features, params, keep_z=False, masks=False,
+                                 transform_first=True)[1])
     print(f"acc_train={acc_tr:.9g} acc_val={acc_val:.9g} acc_test={acc_te:.9g}")
     return 0
 

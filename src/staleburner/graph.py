@@ -256,10 +256,12 @@ class NormAdj:
         cpus = _cpus()
         return row_blocks(self.row_ptr, BLOCKS_PER_CPU * cpus if cpus > 1 else 1)
 
-    def matmul(self, dense: np.ndarray) -> np.ndarray:
+    def matmul(self, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(num_rows, d) float64 product of a (num_cols, d) array; each row
-        sums its terms sequentially in CSR order."""
-        return self._row_product(dense)
+        sums its terms sequentially in CSR order. A given `out` receives
+        it, as `_row_product`'s does: a C-contiguous float64 array of the
+        product's shape that shares no memory with `dense`."""
+        return self._row_product(dense, out)
 
     def t_matmul(self, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The targets' rows of the transpose product, (num_rows, d) float64

@@ -35,6 +35,21 @@ below calls numpy only and writes its own rows of one output, and every
 block gives the bits of the unsplit computation. Batch-sized work stays
 below the split floor.
 
+A forward no backward reads (masks=False) keeps no aggregation, so on the
+whole graph a layer that narrows, the logit layer of every default model
+(64 hidden units to 20 classes on rest-20k), may transform before it
+aggregates: Â·(H·W), the order of Kipf and Welling's GCN and of PyG's
+GCNConv, runs the sparse product at the output's width and the same dense
+work (full_forward's and layer_apply's transform_first). Each flipped
+output sums the same products of the same values in another order, so it
+differs from the aggregate-first one by a few ulps. Only a forward whose
+logits feed no record but an argmax asks for it: the approximation-error
+probe subtracts the oracle's logits from the table's, and where the two
+nearly agree (about 1e-9 apart right after a warm-up refresh) those ulps
+moved the ninth printed digit. Forwards a backward reads and batch
+forwards, whose inputs include the halo rows, keep the aggregate-first
+order and its bits.
+
 The weight gradient agg.T @ dz stays whole. Its sums run over every row of
 the graph, and a multi-threaded OpenBLAS orders them by the shape and its
 thread count: 50000 x 64 by 20 columns gave other bits with two BLAS
@@ -58,6 +73,9 @@ from .rng import Rng
 # element of a gradient 3.5 ns, a multiply-add of a layer dgemm 0.11 ns.
 LOGIT_WORK = 128
 MASK_WORK = 32
+# values per row block of check_finite: its bool array is 64 KiB, under
+# glibc's smallest mmap threshold, so it reuses heap memory
+FINITE_BLOCK_VALUES = 1 << 16
 
 
 @dataclass
@@ -134,8 +152,9 @@ def shared_outputs(n: int, dims: list[int]) -> list[np.ndarray]:
 
 def layer_apply(adj: NormAdj, inputs: np.ndarray | None, w: np.ndarray,
                 b: np.ndarray, last: bool, agg: np.ndarray | None = None,
-                keep_z: bool = False, out: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+                keep_z: bool = False, out: np.ndarray | None = None,
+                transform_first: bool = False
+                ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
     """One propagation layer; returns (agg, pre-activation, output). A given
     `agg` is adj @ inputs already computed, and inputs are then unused.
 
@@ -145,38 +164,74 @@ def layer_apply(adj: NormAdj, inputs: np.ndarray | None, w: np.ndarray,
     output. A given `out`, a float64 array of the output's shape, is that
     array: the layer overwrites it through numpy's out= and returns it,
     bit for bit what a fresh array would hold. Another shape or dtype, or
-    `out` with keep_z=True, raises ValueError."""
+    `out` with keep_z=True, raises ValueError.
+
+    With transform_first=True, which only a forward no backward reads may
+    pass, a layer that narrows (w.shape[1] < w.shape[0]) on a square
+    operator and has no given `agg` computes adj @ (inputs @ w) instead,
+    the order of Kipf and Welling's GCN: the sparse product runs at the
+    output's width and writes into `out`, which must then also be
+    C-contiguous. It returns None for agg, which it never forms. The dense
+    work is the same in either order on a square operator; on a batch's,
+    with halo rows among the inputs, it would grow with the halo. Each
+    output sums the same terms in another order, so it lies within a few
+    ulps of the aggregate-first one."""
     if out is not None:
         shape = (adj.num_rows, w.shape[1])
         if keep_z:
             raise ValueError("out holds the output only; keep_z=True needs a second array")
         if out.shape != shape or out.dtype != np.float64:
             raise ValueError(f"out is {out.dtype} {out.shape}, the layer writes float64 {shape}")
-    if agg is None:
-        agg = adj.matmul(inputs)
-    z = np.empty((agg.shape[0], w.shape[1])) if out is None else out
-    h = None if last else np.empty_like(z) if keep_z else z
-    bounds = even_blocks(len(z), w.size)
-    run_blocks(_affine_rows, [(agg[r0:r1], w, b, z[r0:r1], None if h is None else h[r0:r1])
-                              for r0, r1 in zip(bounds[:-1], bounds[1:])])
+    if (transform_first and agg is None and w.shape[1] < w.shape[0]
+            and adj.num_rows == adj.num_cols):
+        t = np.empty((len(inputs), w.shape[1]))
+        bounds = even_blocks(len(t), w.size)
+        run_blocks(_affine_rows, [(inputs[r0:r1], w, None, t[r0:r1], None)
+                                  for r0, r1 in zip(bounds[:-1], bounds[1:])])
+        z = adj.matmul(t, out=out)
+        del t
+        h = None if last else np.empty_like(z) if keep_z else z
+        z += b
+        if h is not None:
+            np.maximum(z, 0.0, out=h)
+    else:
+        if agg is None:
+            agg = adj.matmul(inputs)
+        z = np.empty((agg.shape[0], w.shape[1])) if out is None else out
+        h = None if last else np.empty_like(z) if keep_z else z
+        bounds = even_blocks(len(z), w.size)
+        run_blocks(_affine_rows, [(agg[r0:r1], w, b, z[r0:r1], None if h is None else h[r0:r1])
+                                  for r0, r1 in zip(bounds[:-1], bounds[1:])])
     if last:
         return agg, z, z
     return agg, z if keep_z else None, h
 
 
-def _affine_rows(agg: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray,
+def _affine_rows(agg: np.ndarray, w: np.ndarray, b: np.ndarray | None, z: np.ndarray,
                  h: np.ndarray | None) -> None:
-    """Block kernel: z = agg @ w + b, and h = max(z, 0) unless h is None
-    (h may be z itself)."""
+    """Block kernel: z = agg @ w + b (no bias if b is None), and
+    h = max(z, 0) unless h is None (h may be z itself)."""
     np.matmul(agg, w, out=z)
-    z += b
+    if b is not None:
+        z += b
     if h is not None:
         np.maximum(z, 0.0, out=h)
 
 
+def check_finite(h: np.ndarray, what: str) -> None:
+    """Raise FloatingPointError naming `what` if h holds a NaN or an
+    infinity. Rows are tested a block of FINITE_BLOCK_VALUES values at a
+    time, so no bool array of h's shape is built at the forward's peak."""
+    rows = max(1, FINITE_BLOCK_VALUES // max(h.shape[1], 1))
+    for r0 in range(0, len(h), rows):
+        if not np.isfinite(h[r0:r0 + rows]).all():
+            raise FloatingPointError(f"non-finite output in {what}")
+
+
 def full_forward(adj: NormAdj, features: np.ndarray, params: GcnParams,
                  agg: np.ndarray | None = None, keep_z: bool = True,
-                 out: list[np.ndarray] | None = None, masks: bool = True
+                 out: list[np.ndarray] | None = None, masks: bool = True,
+                 transform_first: bool = False
                  ) -> tuple[list[np.ndarray], LayerCache]:
     """Whole-graph forward at current parameters; the reference against which
     memory-filled runs are measured. `agg`, when given, is adj @ features
@@ -184,7 +239,12 @@ def full_forward(adj: NormAdj, features: np.ndarray, params: GcnParams,
     keep_z=False the cache holds no pre-activations, one n x d array less
     per hidden layer; backward does not need them. With masks=False the
     cache holds no ReLU masks, and no backward can read it: a forward whose
-    outputs are only read packs none.
+    outputs are only read packs none. Such a forward may also pass
+    transform_first=True, and each layer that narrows then transforms
+    before it aggregates (layer_apply's transform_first), leaving None in
+    cache.aggs; transform_first with masks=True raises ValueError. The
+    logits are checked for NaN and infinity a row block at a time
+    (check_finite).
 
     `out`, one array per layer, receives the layer outputs as layer_apply's
     `out` does, and the returned list holds those same arrays, so a caller
@@ -200,21 +260,24 @@ def full_forward(adj: NormAdj, features: np.ndarray, params: GcnParams,
         raise ValueError("feature rows != graph size")
     if out is not None and len(out) != params.num_layers:
         raise ValueError(f"out holds {len(out)} arrays for {params.num_layers} layers")
+    if transform_first and masks:
+        raise ValueError("a forward backward reads keeps its aggregations; "
+                         "transform_first needs masks=False")
     cache = LayerCache(adj=adj)
     h = None if agg is not None else features.astype(np.float64, copy=False)
     for l in range(params.num_layers):
         last = l == params.num_layers - 1
         a, z, h = layer_apply(adj, h, params.weights[l], params.biases[l], last=last,
                               agg=agg if l == 0 else None, keep_z=keep_z,
-                              out=None if out is None else out[l])
+                              out=None if out is None else out[l],
+                              transform_first=transform_first)
         cache.aggs.append(a)
         if keep_z:
             cache.zs.append(z)
         cache.hs.append(h)
         if masks and not last:
             cache.masks.append(relu_masks(h))
-    if not np.all(np.isfinite(cache.hs[-1])):
-        raise FloatingPointError("non-finite output in forward pass")
+    check_finite(cache.hs[-1], "forward pass")
     return cache.hs, cache
 
 
@@ -303,12 +366,12 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
     L = params.num_layers
     if len(cache.hs) != L:
         raise ValueError("cache does not match parameter depth")
-    if any(a is None for a in cache.aggs):
-        raise ValueError("cache's aggregations were released by an earlier backward; "
-                         "run a fresh forward")
     if len(cache.masks) != L - 1:
         raise ValueError(f"cache holds {len(cache.masks)} ReLU masks for {L - 1} hidden "
                          "layers; run the forward with masks=True")
+    if any(a is None for a in cache.aggs):
+        raise ValueError("cache's aggregations were released by an earlier backward; "
+                         "run a fresh forward")
     if d_out.shape != cache.hs[-1].shape:
         raise ValueError(f"d_out shape {d_out.shape} != logits {cache.hs[-1].shape}")
     nb = cache.adj.num_rows

@@ -27,14 +27,18 @@ the next gradient step moves the parameters: it is the oracle of the probe
 that opens the next step and, in full mode, the next gradient step's
 forward. The run then keeps it as stale, and the next whole-graph forward
 writes its layer outputs into the stale one's arrays, so only a run's first
-whole-graph forward allocates them; each aggregation stays a per-call
-temporary. In full mode that forward is the one backward reads: it packs
-each hidden layer's ReLU mask and writes every layer's output into one
-n x max(hidden, classes) buffer (model.shared_outputs), the logits over the
-spent hidden output, so a step never holds a hidden output and the logits
-at once. A forward no backward reads (memory-mode evaluate and probe
-oracle, refresh forwards, table_logits) packs no mask and keeps its hidden
-outputs. Every mode computes Â·X once per run, so no forward aggregates X:
+whole-graph forward allocates them. Each aggregation stays a per-call
+temporary, except where a memory-mode evaluate's forward serves no probe:
+its logit layer writes its class-width product Â·(H·W) straight into the
+held output, and only the transform H·W is a temporary
+(model.full_forward's transform_first). A forward the next step's probe
+reads aggregates first, so every apx_err bit stays. In full mode the held
+forward is the one backward reads: it packs each hidden layer's ReLU mask
+and writes every layer's output into one n x max(hidden, classes) buffer
+(model.shared_outputs), the logits over the spent hidden output, so a step
+never holds a hidden output and the logits at once. A forward no backward
+reads (memory-mode evaluate and probe oracle, refresh forwards,
+table_logits) packs no mask and keeps its hidden outputs. Every mode computes Â·X once per run, so no forward aggregates X:
 batch forwards gather layer 1's rows and whole-graph forwards take it whole.
 Refresh forwards stop at the last layer they push. Records and parameters
 stay bit-identical.
@@ -54,8 +58,8 @@ import numpy as np
 from .graph import Dataset, NormAdj, normalize_adjacency
 from .history import HistoryTable, persistence_stats
 from .metrics import MetricsRecord, approximation_error
-from .model import (Adam, GcnParams, LayerCache, backward, full_forward, init_params,
-                    layer_apply, loss_and_grad, relu_masks, shared_outputs)
+from .model import (Adam, GcnParams, LayerCache, backward, check_finite, full_forward,
+                    init_params, layer_apply, loss_and_grad, relu_masks, shared_outputs)
 from .partition import (MiniBatch, Partition, make_batch,
                         make_batch_from_nodes, schedule_epoch)
 from .rng import derive_seed
@@ -161,8 +165,8 @@ def batch_forward_with_history(batch: MiniBatch, ax: np.ndarray,
             cache.masks.append(relu_masks(h))
         if push and l < L - 1:
             history.push(l + 1, batch.in_batch, h, step)
-    if depth and not np.all(np.isfinite(h)):
-        raise FloatingPointError("non-finite output in batch forward")
+    if depth:
+        check_finite(h, "batch forward")
     return cache.hs, cache
 
 
@@ -363,18 +367,22 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
     # full mode's run-long output buffer; its pages are touched by the first forward
     outs = None if memory else shared_outputs(n, dims)
 
-    def whole_forward() -> LayerCache:
+    def whole_forward(probe_reads: bool = True) -> LayerCache:
         """The whole-graph forward at the current parameters, run once per
         version: evaluate's is the next probe's oracle and, in full mode, the
         next gradient forward, whose backward and loss consume the
         intermediates and masks kept only in that mode, where every layer's
         output is in `outs`. Never two at once. A stale forward's layer
         outputs are overwritten by the next, so only the run's first forward
-        allocates them; the aggregations stay per call."""
+        allocates them; the aggregations stay per call. A memory-mode
+        forward that no probe reads (probe_reads False) transforms its
+        logit layer before aggregating it (full_forward's transform_first):
+        only an argmax reads its logits."""
         nonlocal held, stale
         if stale:
             hs, cache = full_forward(g_norm, ds.features, state.params, agg=ax, keep_z=False,
-                                     out=outs if held is None else held.hs, masks=not memory)
+                                     out=outs if held is None else held.hs, masks=not memory,
+                                     transform_first=memory and not probe_reads)
             held = LayerCache(adj=g_norm, hs=hs) if memory else cache
             stale = False
         return held
@@ -383,12 +391,15 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
         # gradient-free whole-graph refresh so no pull ever reads the zero init
         rest_refresh_pass([whole], state, ax)
 
+    def probes(step: int) -> bool:
+        return cfg.probe_every > 0 and step % cfg.probe_every == 0
+
     records: list[MetricsRecord] = []
     grad_batches = [grad for _, grad in plan]
     for epoch in range(cfg.epochs):
         for refresh, grad_batch in plan:
             pstats = persistence_stats(state.history, state.model_step)
-            if cfg.probe_every > 0 and state.model_step % cfg.probe_every == 0:
+            if probes(state.model_step):
                 apx = _probe_apx_errors(state, grad_batches, memory, whole_forward, ax)
             else:
                 apx = tuple([float("nan")] * cfg.num_layers)
@@ -400,7 +411,9 @@ def run_training(cfg: TrainConfig, ds: Dataset, part: Partition,
                                       forward=None if memory else whole_forward())
                 stale = True  # the parameters moved
                 wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
-                acc_tr, acc_val, acc_te = evaluate(ds, whole_forward)
+                # the forward is the next step's probe oracle if that step probes
+                acc_tr, acc_val, acc_te = evaluate(
+                    ds, lambda: whole_forward(probe_reads=probes(state.model_step)))
             except FloatingPointError:
                 if checkpoint_path is not None:
                     stem = os.path.splitext(checkpoint_path)[0]

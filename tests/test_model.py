@@ -3,9 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from staleburner.graph import csr_from_edges, normalize_adjacency, sbm_generate
-from staleburner.model import (Adam, GcnParams, Grads, accuracy, backward,
-                               full_forward, init_params, layer_apply, loss_and_grad)
+from staleburner import graph
+from staleburner.graph import NormAdj, csr_from_edges, normalize_adjacency, sbm_generate
+from staleburner.history import HistoryTable
+from staleburner.model import (FINITE_BLOCK_VALUES, Adam, GcnParams, Grads, accuracy,
+                               backward, check_finite, full_forward, init_params, layer_apply,
+                               loss_and_grad)
+from staleburner.partition import make_batch, partition_graph
+from staleburner.trainer import TrainState, batch_forward_with_history, rest_refresh_pass
 
 from conftest import (dense_forward, dense_norm_adj, fd_param_grads,
                       max_rel_err, path_graph)
@@ -254,6 +259,154 @@ def test_forward_without_pre_activations_peaks_lower():
     peak = traced_peak(lambda: layer_apply(adj, None, params.weights[0],
                                            params.biases[0], last=False, agg=agg))
     assert peak < 2 * one_layer
+
+
+def aggregate_first(adj: NormAdj, feats: np.ndarray, params: GcnParams) -> list[np.ndarray]:
+    """The reference order of every layer: aggregate, then transform;
+    relu(adj @ H @ W + b), identity on the last layer."""
+    h = np.asarray(feats, dtype=np.float64)
+    out = []
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = adj.matmul(h) @ w + b
+        h = z if l == params.num_layers - 1 else np.maximum(z, 0.0)
+        out.append(h)
+    return out
+
+
+# (blocks, hidden widths): a narrowing logit layer as on rest-20k, a
+# narrowing hidden layer before it, and a logit layer wider than the hidden
+ORDER_CASES = {"64-20": (20, [64]), "64-16-10": (10, [64, 16]), "8-20": (20, [8])}
+
+
+@pytest.mark.parametrize("case", ORDER_CASES)
+def test_unread_forward_transforms_narrow_layers_first(monkeypatch, case):
+    """A whole-graph forward with masks=False and transform_first=True runs
+    each narrowing layer's sparse product at its output width and agrees
+    with the aggregate-first reference and the dense oracle to 1e-12
+    relative; a layer that does not narrow, and every layer of a forward
+    without transform_first, keep the reference's bytes."""
+    blocks, hidden = ORDER_CASES[case]
+    ds = sbm_generate(blocks, 600 // blocks, 0.2, 0.01, d_in=32, seed=41)
+    adj = normalize_adjacency(ds.graph)
+    dims = [ds.num_features] + hidden + [ds.num_classes]
+    params = init_params(dims, seed=42)
+    want = aggregate_first(adj, ds.features, params)
+    dense = dense_forward(dense_norm_adj(ds.graph), ds.features, params)
+    widths = []
+    real = NormAdj.matmul
+
+    def counting(self, dense, out=None):
+        widths.append(dense.shape[1])
+        return real(self, dense, out=out)
+
+    monkeypatch.setattr(NormAdj, "matmul", counting)
+    for masks in (True, False):
+        del widths[:]
+        kept, _ = full_forward(adj, ds.features, params, masks=masks)
+        assert widths == dims[:-1]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, want))
+    with pytest.raises(ValueError, match="transform_first needs masks=False"):
+        full_forward(adj, ds.features, params, transform_first=True)
+    del widths[:]
+    unread, cache = full_forward(adj, ds.features, params, keep_z=False, masks=False,
+                                 transform_first=True)
+    narrow = [d_out < d_in for d_in, d_out in zip(dims[:-1], dims[1:])]
+    assert widths == [d_out if n else d_in
+                      for d_in, d_out, n in zip(dims[:-1], dims[1:], narrow)]
+    assert [a is None for a in cache.aggs] == narrow
+    for l, (got, ref, oracle) in enumerate(zip(unread, want, dense)):
+        scale = np.abs(ref).max()
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+        assert np.abs(got - oracle).max() <= 1e-12 * scale
+        if not any(narrow[:l + 1]):
+            assert got.tobytes() == ref.tobytes()
+    if any(narrow):
+        assert unread[-1].tobytes() != want[-1].tobytes()  # the order did change
+
+
+def test_halo_batch_forwards_keep_the_aggregate_first_bytes():
+    """Batch forwards aggregate first whether a backward reads them or not:
+    a narrowing layer there would transform the halo rows too."""
+    ds = sbm_generate(10, 40, 0.2, 0.01, d_in=32, seed=43)
+    g_norm = normalize_adjacency(ds.graph)
+    part = partition_graph(ds.graph, 4, seed=44)
+    ax = g_norm.matmul(ds.features)
+    dims = [ds.num_features, 64, 16, ds.num_classes]
+    params = init_params(dims, seed=45)
+    history = HistoryTable(ds.graph.num_nodes, dims[1:-1])
+    # every table row written, so the halo rows are not zeros
+    state = TrainState(params=params, adam=Adam(lr=0.01), history=history)
+    rest_refresh_pass([make_batch(g_norm, part, list(range(4)))], state, ax)
+    for c in range(4):
+        batch = make_batch(g_norm, part, [c])
+        assert len(batch.halo)
+        nb = len(batch.in_batch)
+        want, h = [], None
+        for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+            if l == 0:
+                agg = ax[batch.in_batch]
+            else:
+                agg = batch.local_adj.matmul(np.vstack([h, history.pull(l, batch.halo)[0]]))
+            z = agg @ w + b
+            h = z if l == len(dims) - 2 else np.maximum(z, 0.0)
+            want.append(h)
+        for masks in (True, False):
+            hs, _ = batch_forward_with_history(batch, ax, params, history, push=False,
+                                               step=1, masks=masks)
+            assert len(hs[0]) == nb
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(hs, want)), masks
+
+
+@pytest.fixture(scope="module")
+def sbm_20k_ax():
+    ds = sbm_generate(20, 1000, 0.01, 1e-4, d_in=32, seed=46)
+    return ds, normalize_adjacency(ds.graph).matmul(ds.features)
+
+
+def test_unread_forward_peaks_lower_by_the_narrow_aggregation(monkeypatch, sbm_20k_ax):
+    """On rest-20k's shape (20k nodes, 64 hidden units, 20 classes) a
+    transform_first forward never holds the 64-wide aggregation of the
+    logit layer, only its 20-wide transform: its peak sits at least
+    n x (64 - 20) x 8 bytes below that of the aggregate-first forward. One
+    CPU, so no block's timing moves either peak."""
+    ds, ax = sbm_20k_ax
+    monkeypatch.setattr(graph, "_cpus", lambda: 1)
+    adj = normalize_adjacency(ds.graph)  # row bounds are cached per operator
+    params = init_params([ds.num_features, 64, ds.num_classes], seed=47)
+
+    def forward(transform_first):
+        return lambda: full_forward(adj, ds.features, params, agg=ax, keep_z=False,
+                                    masks=False, transform_first=transform_first)
+
+    forward(True)()  # lazy set-up out of the measurement
+    aggregate = traced_peak(forward(False))
+    transform = traced_peak(forward(True))
+    assert aggregate - transform >= ds.graph.num_nodes * (64 - ds.num_classes) * 8
+
+
+def test_finiteness_is_checked_in_every_row_block(sbm_20k_ax):
+    """check_finite tests the rows a block at a time: a NaN in the first
+    block and an infinity in the last raise, from the check and from
+    whole-graph forwards in either order."""
+    ds, ax = sbm_20k_ax
+    n = ds.graph.num_nodes
+    assert n * ds.num_classes > 2 * FINITE_BLOCK_VALUES  # several blocks
+    h = np.zeros((n, ds.num_classes))
+    check_finite(h, "test")
+    for row, value in ((0, np.nan), (n - 1, np.inf)):
+        bad = h.copy()
+        bad[row, -1] = value
+        with pytest.raises(FloatingPointError, match="non-finite output in test"):
+            check_finite(bad, "test")
+    adj = normalize_adjacency(ds.graph)
+    params = init_params([ds.num_features, 64, ds.num_classes], seed=48)
+    for row, value in ((0, np.nan), (n - 1, np.inf)):
+        feats = ds.features.copy()
+        feats[row] = value
+        for masks in (True, False):
+            with pytest.raises(FloatingPointError, match="non-finite output in forward pass"):
+                full_forward(adj, feats, params, keep_z=False, masks=masks,
+                             transform_first=not masks)
 
 
 def test_adam_zero_grad_is_identity():

@@ -269,6 +269,45 @@ def test_refresh_updates_only_named_cluster():
     assert np.array_equal(touched, part.clusters[2])
 
 
+@pytest.mark.parametrize("mode,probe_every", [("rest", 3), ("rest", 1), ("gas", 0),
+                                              ("full", 2)])
+def test_only_forwards_no_probe_reads_transform_first(monkeypatch, mode, probe_every):
+    """A memory-mode evaluate's forward transforms its logit layer first
+    unless the next step's probe reads it; the probe's oracle and every
+    full-mode forward aggregate first. Records and parameters equal those
+    of a run whose forwards all aggregate first."""
+    ds = sbm_generate(4, 30, 0.2, 0.02, seed=7)
+    part = partition_graph(ds.graph, 4, seed=3)
+    cfg = TrainConfig(mode=mode, hidden=16, lr=0.05, epochs=2, probe_every=probe_every,
+                      seed=5)
+    real = trainer.full_forward
+    flips, aggregate_only = [], []
+
+    def recording(*args, **kwargs):
+        if aggregate_only:
+            kwargs["transform_first"] = False
+        flips.append(kwargs.get("transform_first", False))
+        return real(*args, **kwargs)
+
+    def oracle_check(source, oracle):
+        assert flips[-1] is False  # the oracle is the latest whole-graph forward
+        return approximation_error(source, oracle)
+
+    approximation_error = trainer.approximation_error
+    monkeypatch.setattr(trainer, "full_forward", recording)
+    monkeypatch.setattr(trainer, "approximation_error", oracle_check)
+    records, params = run_training(cfg, ds, part)
+    probes = [probe_every > 0 and k % probe_every == 0 for k in range(len(records) + 1)]
+    if mode == "full":
+        assert flips == [False] * (len(records) + 1)
+    else:
+        assert flips == [False] * probes[0] + [not p for p in probes[1:]]
+    aggregate_only.append(True)
+    want, want_params = run_training(cfg, ds, part)
+    assert [format_record(r) for r in records] == [format_record(r) for r in want]
+    assert params.flat().tobytes() == want_params.flat().tobytes()
+
+
 @pytest.mark.parametrize("num_layers", [2, 3])
 def test_refresh_forward_stops_at_last_pushed_layer(monkeypatch, num_layers):
     ds = small_dataset(seed=10)
