@@ -68,9 +68,21 @@ class HistoryTable:
 
 
 def load_table_dump(path: str) -> np.ndarray:
+    """Read one layer file of HistoryTable.dump as a num_nodes x dim float32
+    array. A file shorter than its header, or whose body does not hold
+    num_nodes x dim values, cut short or with trailing bytes, raises
+    ValueError naming the file and the bytes expected and found."""
     with open(path, "rb") as f:
-        n, d = struct.unpack("<II", f.read(8))
-        return np.frombuffer(f.read(), dtype="<f4").reshape(n, d)
+        data = f.read()
+    if len(data) < 8:
+        raise ValueError(f"{path}: a table dump takes at least its 8-byte header, "
+                         f"the file has {len(data)} bytes")
+    n, d = struct.unpack_from("<II", data)
+    expected = 8 + 4 * n * d
+    if len(data) != expected:
+        raise ValueError(f"{path}: a table dump of {n} x {d} takes {expected} bytes, "
+                         f"the file has {len(data)}")
+    return np.frombuffer(data, dtype="<f4", offset=8).reshape(n, d)
 
 
 @dataclass(frozen=True)

@@ -50,11 +50,21 @@ moved the ninth printed digit. Forwards a backward reads and batch
 forwards, whose inputs include the halo rows, keep the aggregate-first
 order and its bits.
 
-The weight gradient agg.T @ dz stays whole. Its sums run over every row of
-the graph, and a multi-threaded OpenBLAS orders them by the shape and its
-thread count: 50000 x 64 by 20 columns gave other bits with two BLAS
-threads than with one, and blocks of fewer than 17 of agg's columns other
-bits than the whole product with two.
+Each layer's weight and bias gradients, agg.T @ dz and dz.sum(axis=0),
+are a sum in a fixed order of block partials (param_grads): the rows are
+cut, from row 0, into chunks of GRAD_CHUNK_ROWS and blocks of GRAD_ROWS;
+each chunk's slot is the serial sum of its blocks' partials, and the
+gradient the serial sum of the slots. The order depends on the row count
+alone, so the CPU count decides only which thread fills a slot, and a
+product of at most GRAD_ROWS rows is the whole product. A block's rows are
+the depth of its dgemm, and a multi-threaded OpenBLAS cuts a depth of more
+than one panel (384 rows on a 2-core AVX-512 VM) in other places than a
+single thread does: there, weight gradients of 64 x 50 and 32 x 64 over
+every third row count from 257 to 1097 gave other bits with two BLAS
+threads than with one at 223 of the 281 counts, none below 386, while
+at 55 row counts from 1 to 384 none of eleven widths from 7 x 3 to
+500 x 64 moved at one to four threads. GRAD_ROWS = 256 leaves a margin
+for kernels with shallower panels.
 """
 
 from __future__ import annotations
@@ -73,6 +83,11 @@ from .rng import Rng
 # element of a gradient 3.5 ns, a multiply-add of a layer dgemm 0.11 ns.
 LOGIT_WORK = 128
 MASK_WORK = 32
+# rows of one dgemm of a weight gradient (param_grads), at most OpenBLAS's
+# dgemm panel depth, and rows of the chunk whose partials one slot sums:
+# 50000 rows take 25 slots, 640 KiB at 64 x 50
+GRAD_ROWS = 256
+GRAD_CHUNK_ROWS = 8 * GRAD_ROWS
 # values per row block of check_finite: its bool array is 64 KiB, under
 # glibc's smallest mmap threshold, so it reuses heap memory
 FINITE_BLOCK_VALUES = 1 << 16
@@ -375,8 +390,8 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
     if d_out.shape != cache.hs[-1].shape:
         raise ValueError(f"d_out shape {d_out.shape} != logits {cache.hs[-1].shape}")
     nb = cache.adj.num_rows
-    dw = [np.zeros_like(w) for w in params.weights]
-    db = [np.zeros_like(b) for b in params.biases]
+    dw: list[np.ndarray] = [None] * L
+    db: list[np.ndarray] = [None] * L
     d_hidden: list[np.ndarray] = [None] * L
     # the last layer's gradient is d_out itself; a hidden layer's masked
     # one overwrites dz, the product array of the layer above
@@ -387,9 +402,8 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
         if l < L - 1:
             run_blocks(_backward_rows, [(dh[r0:r1], m, dz[r0:r1], w, None)
                                         for (r0, r1), m in cache.masks[l]])
-        dw[l] = cache.aggs[l].T @ dz
+        dw[l], db[l] = param_grads(cache.aggs[l], dz)
         p, cache.aggs[l] = cache.aggs[l], None
-        db[l] = dz.sum(axis=0)
         if l == 0:
             break
         bounds = even_blocks(nb, w.size)
@@ -398,6 +412,56 @@ def backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
         dh = cache.adj.t_matmul(p, out=cache.hs[l - 1])
         dz = p
     return Grads(weights=dw, biases=db), d_hidden
+
+
+def param_grads(agg: np.ndarray, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """agg.T @ dz and dz.sum(axis=0) summed in an order fixed by the row
+    count: per GRAD_CHUNK_ROWS-row chunk from row 0, the serial sum of its
+    GRAD_ROWS-row blocks' partials, then the serial sum of the chunks'.
+    Up to GRAD_ROWS rows it is the whole product and sum. Consecutive
+    chunks are grouped into jobs of at least SPLIT_WORK multiply-adds
+    (graph.even_blocks over the full chunks, the last job taking the
+    partial one), so a gradient of fewer than 2 * SPLIT_WORK starts no
+    helper, and each slot holds the same bits whichever thread fills it."""
+    if len(dz) <= GRAD_ROWS:
+        return agg.T @ dz, dz.sum(axis=0)
+    k = -(-len(dz) // GRAD_CHUNK_ROWS)
+    dws = np.empty((k, agg.shape[1], dz.shape[1]))
+    dbs = np.empty((k, dz.shape[1]))
+    jobs = even_blocks(len(dz) // GRAD_CHUNK_ROWS,
+                       GRAD_CHUNK_ROWS * agg.shape[1] * dz.shape[1])
+    jobs[-1] = k
+    run_blocks(_grad_rows, [(agg[c0 * GRAD_CHUNK_ROWS:c1 * GRAD_CHUNK_ROWS],
+                             dz[c0 * GRAD_CHUNK_ROWS:c1 * GRAD_CHUNK_ROWS], dws[c0:c1], dbs[c0:c1])
+                            for c0, c1 in zip(jobs[:-1], jobs[1:])])
+    dw, db = dws[0].copy(), dbs[0].copy()
+    for i in range(1, k):
+        dw += dws[i]
+        db += dbs[i]
+    return dw, db
+
+
+def _grad_rows(agg: np.ndarray, dz: np.ndarray, dw: np.ndarray, db: np.ndarray) -> None:
+    """Block kernel: slot i of dw and db gets the serial sum of
+    agg_b.T @ dz_b and dz_b.sum(axis=0) over the GRAD_ROWS-row blocks b of
+    the i-th GRAD_CHUNK_ROWS rows of agg and dz, each of which has a row.
+    A chunk's whole blocks are one stacked matmul and one sum, each block of
+    which gives the bits of its own 2-d product."""
+    for i in range(len(dw)):
+        a = agg[i * GRAD_CHUNK_ROWS:(i + 1) * GRAD_CHUNK_ROWS]
+        d = dz[i * GRAD_CHUNK_ROWS:(i + 1) * GRAD_CHUNK_ROWS]
+        whole = len(d) // GRAD_ROWS * GRAD_ROWS
+        a3 = a[:whole].reshape(-1, GRAD_ROWS, a.shape[1])
+        d3 = d[:whole].reshape(-1, GRAD_ROWS, d.shape[1])
+        pw = list(np.matmul(a3.transpose(0, 2, 1), d3))
+        pb = list(d3.sum(axis=1))
+        if whole < len(d):
+            pw.append(a[whole:].T @ d[whole:])
+            pb.append(d[whole:].sum(axis=0))
+        dw[i], db[i] = pw[0], pb[0]
+        for w, b in zip(pw[1:], pb[1:]):
+            dw[i] += w
+            db[i] += b
 
 
 def _backward_rows(dh: np.ndarray, mask: np.ndarray | None, dz: np.ndarray,

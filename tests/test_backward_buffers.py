@@ -1,6 +1,8 @@
 """Backward writes into the arrays of the forward it consumes. Its gradients
 must equal, byte for byte, those of the out-of-place backward it replaced,
-which is kept below as the oracle, on whole-graph and halo-batch caches,
+which is kept below as the oracle with its weight and bias gradients
+written out as sums of 256-row block products, on whole-graph and
+halo-batch caches,
 split or not, with +0.0 and -0.0 at the ReLU kink. A full-mode step whose
 forward writes every layer's output into one buffer must give the bytes of
 the step on fresh output arrays, and peak lower by the logits.
@@ -25,7 +27,8 @@ from test_model import traced_peak, zero_kink_instance
 def reference_backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
                        ) -> tuple[Grads, list[np.ndarray]]:
     """The backward that allocated its products and transpose outputs
-    afresh and left `cache.hs` unwritten, verbatim."""
+    afresh and left `cache.hs` unwritten, its weight and bias gradients
+    taken by reference_param_grads."""
     L = params.num_layers
     if len(cache.hs) != L:
         raise ValueError("cache does not match parameter depth")
@@ -53,14 +56,37 @@ def reference_backward(cache: LayerCache, d_out: np.ndarray, params: GcnParams
                        [(dh[r0:r1], None if h is None else h[r0:r1], dz[r0:r1], w,
                          None if p is None else p[r0:r1])
                         for r0, r1 in zip(bounds[:-1], bounds[1:])])
-        dw[l] = cache.aggs[l].T @ dz
+        dw[l], db[l] = reference_param_grads(cache.aggs[l], dz)
         cache.aggs[l] = None
-        db[l] = dz.sum(axis=0)
         if l == 0:
             break
         dh = cache.adj.t_matmul(p)
         spare = p
     return Grads(weights=dw, biases=db), d_hidden
+
+
+def reference_param_grads(agg: np.ndarray, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """agg.T @ dz and dz.sum(axis=0): per chunk of model.GRAD_CHUNK_ROWS
+    rows from row 0 (2048), the sum of the products and sums of its
+    model.GRAD_ROWS-row blocks (256) in row order, then the sum of the
+    chunks' in chunk order. With at most one block's rows, the whole
+    product and sum."""
+    rows, chunk = model.GRAD_ROWS, model.GRAD_CHUNK_ROWS
+    if len(dz) <= rows:
+        return agg.T @ dz, dz.sum(axis=0)
+    sums = []
+    for c0 in range(0, len(dz), chunk):
+        dw = agg[c0:c0 + rows].T @ dz[c0:c0 + rows]
+        db = dz[c0:c0 + rows].sum(axis=0)
+        for r0 in range(c0 + rows, min(c0 + chunk, len(dz)), rows):
+            dw += agg[r0:r0 + rows].T @ dz[r0:r0 + rows]
+            db += dz[r0:r0 + rows].sum(axis=0)
+        sums.append((dw, db))
+    dw, db = sums[0]
+    for cw, cb in sums[1:]:
+        dw += cw
+        db += cb
+    return dw, db
 
 
 def _reference_rows(dh: np.ndarray, h: np.ndarray | None, dz: np.ndarray,
@@ -207,11 +233,13 @@ def test_shared_buffer_steps_equal_fresh_outputs(monkeypatch, request, case, cpu
     """Two full-mode steps through one output buffer give the bytes of two
     on fresh output arrays. The buffer is n x max(hidden, classes) and
     holds every layer's output: 20 classes under 64 hidden units on 20k
-    nodes, 6 above 4 on 3k, where the split floor is lowered so that, on
-    two CPUs, every dense job of the step and every mask is split."""
+    nodes, 6 above 4 on 3k, where the split floor and the gradient's
+    chunks are lowered so that, on two CPUs, every dense job of the step
+    and every mask is split."""
     if case == "classes-wider":
         ds, ax = request.getfixturevalue("sbm_6_classes")
         monkeypatch.setattr(graph, "SPLIT_WORK", 64)
+        monkeypatch.setattr(model, "GRAD_CHUNK_ROWS", 2 * model.GRAD_ROWS)
         hidden = [4]
     else:
         ds, ax = request.getfixturevalue("sbm_20k")

@@ -16,14 +16,16 @@ import pytest
 from scipy.sparse import _sparsetools
 
 from staleburner import graph, history, model, partition, rng, trainer
-from staleburner.graph import NormAdj, even_blocks, sbm_generate
+from staleburner.graph import NormAdj, even_blocks, normalize_adjacency, sbm_generate
 from staleburner.metrics import format_record
-from staleburner.model import (LayerCache, backward, init_params, layer_apply, loss_and_grad,
-                               relu_masks)
+from staleburner.model import (GRAD_ROWS, LayerCache, backward, full_forward, init_params,
+                               layer_apply, loss_and_grad, param_grads, relu_masks)
 from staleburner.partition import partition_graph
 from staleburner.trainer import TrainConfig, run_training
 
-KERNELS = {model._affine_rows, model._softmax_rows, model._backward_rows}
+from conftest import dense_forward, dense_norm_adj
+
+KERNELS = {model._affine_rows, model._softmax_rows, model._backward_rows, model._grad_rows}
 
 
 @pytest.fixture
@@ -178,6 +180,55 @@ def test_blocks_carry_at_least_the_split_work(monkeypatch):
                 assert blocks.max() - blocks.min() <= 1
 
 
+def rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest entry of |got - want| over the largest of |want|."""
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 511, 512, 513, 1025, 2048, 2049, 20_000])
+def test_param_grads_sum_block_partials_in_order(monkeypatch, own_pool, rows):
+    """agg.T @ dz and dz.sum(axis=0) as a sum of 256-row block partials, in
+    2048-row chunks: the whole product's bytes up to 256 rows, a few ulps
+    from it above, and the same bytes on any CPU count."""
+    assert (GRAD_ROWS, model.GRAD_CHUNK_ROWS) == (256, 2048)
+    gen = np.random.default_rng(rows)
+    agg = gen.normal(size=(rows, 64))
+    dz = gen.normal(size=(rows, 50))
+    got = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(graph, "_cpus", lambda: cpus)
+        got[cpus] = [a.tobytes() for a in param_grads(agg, dz)]
+    assert got[1] == got[2] == got[3]
+    dw, db = param_grads(agg, dz)
+    if rows <= 256:
+        assert dw.tobytes() == (agg.T @ dz).tobytes()
+        assert db.tobytes() == dz.sum(axis=0).tobytes()
+    else:
+        assert rel_err(dw, agg.T @ dz) <= 1e-12
+        assert rel_err(db, dz.sum(axis=0)) <= 1e-12
+
+
+@pytest.mark.parametrize("clusters,size", [(5, 51), (7, 73), (3, 171), (5, 205)])
+def test_block_summed_gradients_match_the_dense_oracle(clusters, size):
+    """A 2-layer backward over 255, 511, 513 and 1025 rows (one, two,
+    three and five 256-row blocks) against the gradients of conftest's
+    dense operator and forward, taken densely."""
+    ds = sbm_generate(clusters, size, 0.05, 0.005, d_in=8, seed=size)
+    adj = normalize_adjacency(ds.graph)
+    params = init_params([8, 16, ds.num_classes], seed=3)
+    hs, cache = full_forward(adj, ds.features, params)
+    _, dlogits = loss_and_grad(hs[-1], ds.labels, ds.train_mask)
+    grads, _ = backward(cache, dlogits, params)
+    a = dense_norm_adj(ds.graph)
+    h1, _ = dense_forward(a, ds.features, params)
+    dz1 = (a.T @ dlogits @ params.weights[1].T) * (h1 > 0.0)
+    want = [(a @ ds.features).T @ dz1, (a @ h1).T @ dlogits,
+            dz1.sum(axis=0), dlogits.sum(axis=0)]
+    assert ds.graph.num_nodes == clusters * size
+    for got, ref in zip(grads.weights + grads.biases, want):
+        assert rel_err(got, ref) <= 1e-12
+
+
 def block_work(kernel, args) -> int:
     """Multiply-adds (or their equivalent) one block of a dense job carries."""
     if kernel is model._affine_rows:
@@ -186,8 +237,13 @@ def block_work(kernel, args) -> int:
     if kernel is model._softmax_rows:
         logits, ids = args[0], args[2]
         return len(ids) * logits.shape[1] * model.LOGIT_WORK
-    dh, w, p = args[0], args[3], args[4]
-    return len(dh) * (w.size if p is not None else model.MASK_WORK * dh.shape[1])
+    if kernel is model._backward_rows:
+        dh, w, p = args[0], args[3], args[4]
+        return len(dh) * (w.size if p is not None else model.MASK_WORK * dh.shape[1])
+    if kernel is model._grad_rows:
+        agg, dz = args[0], args[1]
+        return len(agg) * agg.shape[1] * dz.shape[1]
+    raise AssertionError(f"no work is known for {kernel.__name__}")
 
 
 def run_digest(cfg: TrainConfig, ds, part) -> list[str]:
@@ -361,6 +417,9 @@ def test_helpers_run_only_numpy_and_scipy_kernels(monkeypatch):
     monkeypatch.setattr(graph, "_helpers", Recorder())
     monkeypatch.setattr(graph, "_cpus", lambda: 2)
     monkeypatch.setattr(graph, "SPLIT_WORK", 64)
+    # 240 rows: the gradient's chunks split too
+    monkeypatch.setattr(model, "GRAD_ROWS", 8)
+    monkeypatch.setattr(model, "GRAD_CHUNK_ROWS", 16)
     ds = sbm_generate(4, 60, 0.1, 0.01, d_in=6, seed=5)
     part = partition.partition_graph(ds.graph, 4, seed=2)
     for cfg in (TrainConfig(mode="full", hidden=8, epochs=2, lr=0.05, seed=3),

@@ -112,3 +112,20 @@ def test_dump_round_trip(tmp_path):
     raw = (tmp_path / "table_l1.bin").read_bytes()
     assert len(raw) == 8 + 5 * 3 * 4
     assert raw[:8] == (5).to_bytes(4, "little") + (3).to_bytes(4, "little")
+
+
+@pytest.mark.parametrize("cut,expected,found", [
+    (lambda raw: raw[:3], "at least its 8-byte header", "has 3 bytes"),
+    (lambda raw: raw[:-4], "takes 68 bytes", "has 64"),
+    (lambda raw: raw + b"\0", "takes 68 bytes", "has 69"),
+], ids=["3-bytes", "short-body", "trailing-bytes"])
+def test_load_table_dump_refuses_a_wrong_size(tmp_path, cut, expected, found):
+    t = make_table(n=5, dims=(3,))
+    (path,) = t.dump(str(tmp_path / "table"))
+    with open(path, "rb") as f:
+        raw = f.read()
+    with open(path, "wb") as f:
+        f.write(cut(raw))
+    with pytest.raises(ValueError, match=expected) as err:
+        load_table_dump(path)
+    assert path in str(err.value) and found in str(err.value)

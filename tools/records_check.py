@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import os
 
-# before numpy loads: the BLAS thread count can move the last bits of a product
+# before numpy loads. Training's gradients do not depend on the BLAS thread
+# count (tests/test_blas_threads.py), but that test covers two arms on one
+# graph; the pin keeps a comparison of two trees to the one setting the
+# benchmark's children run under (perfbench/run.py's CHILD_ENV).
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
